@@ -3,7 +3,11 @@ a clique block (irk), or a time-channel Euler step, plus transitions.
 
 A step block maps the state y_n to y_{n+1} = y_n + sum of per-stage increment
 groups; the groups are produced by convolutional subnetworks wired exactly as
-the stage structure of the corresponding Runge-Kutta family dictates.  With
+the stage structure of the corresponding Runge-Kutta family dictates.  All
+three kinds share one dense-growth rule (``_dense_growth``): growth unit t
+reads concat(y_n, outputs of units 0..t-1) and emits k channels.  erk runs it
+for every stage, irk for its Stage-I initializers, time-channel for its units.
+irk Stage-II is the one read that is not a prefix of that list.  With
 ``linear_test_mode`` every growth unit collapses to a single bias-free 1x1
 convolution so the whole step becomes an affine map that can be compared
 against a classical integrator.
@@ -129,10 +133,26 @@ class GrowthUnit:
         return ops.dropout(h, dropout_p, mode, rng)
 
 
+def _concat(xs):
+    return xs[0] if len(xs) == 1 else ops.concat_channels(xs)
+
+
+def _dense_growth(feats, units, time=None, mode="train", dropout_p=0.0, rng=None):
+    """The dense-growth rule: each unit reads concat(feats) and appends its output.
+
+    ``feats`` grows in place; the new outputs are returned in order.
+    """
+    start = len(feats)
+    for u in units:
+        feats.append(u.forward(_concat(feats), time=time, mode=mode,
+                               dropout_p=dropout_p, rng=rng))
+    return feats[start:]
+
+
 class ErkStepBlock:
     """One explicit time-step: a dense block of s stage subnetworks plus the
-    summation layer.  Stage i consumes concat(y_n, group_1..group_{i-1}) and
-    emits an mk-channel group; y_{n+1} = y_n + sum of groups.
+    summation layer.  Stage i runs m dense growth units and emits their
+    mk-channel group; y_{n+1} = y_n + sum of groups.
     """
 
     kind = "erk"
@@ -158,13 +178,8 @@ class ErkStepBlock:
         groups = []
         for i, units in enumerate(self.stages):
             with op_scope(f"stage{i}"):
-                outs = []
-                for u in units:
-                    x = feats[0] if len(feats) == 1 else ops.concat_channels(feats)
-                    g = u.forward(x, mode=mode, dropout_p=dropout_p, rng=rng)
-                    feats.append(g)
-                    outs.append(g)
-                groups.append(outs[0] if len(outs) == 1 else ops.concat_channels(outs))
+                groups.append(_concat(_dense_growth(feats, units, mode=mode,
+                                                    dropout_p=dropout_p, rng=rng)))
         y_next = y
         for g in groups:
             y_next = ops.add(y_next, g)
@@ -197,16 +212,16 @@ class IrkStepBlock:
     def forward(self, y, mode="train", dropout_p=0.0, rng=None):
         if y.shape[1] != self.channels:
             raise ShapeError(f"irk step expects {self.channels} channels (k), got {y.shape[1]}")
-        initials = []
+        feats = [y]
         for j, unit in enumerate(self.initializers):
             with op_scope(f"init{j}"):
-                x = y if not initials else ops.concat_channels([y] + initials)
-                initials.append(unit.forward(x, mode=mode, dropout_p=dropout_p, rng=rng))
+                _dense_growth(feats, [unit], mode=mode, dropout_p=dropout_p, rng=rng)
+        initials = feats[1:]
         updated = []
         for i, unit in enumerate(self.updaters):
             with op_scope(f"update{i}"):
-                parts = updated[:i] + initials[i + 1:]
-                x = parts[0] if len(parts) == 1 else ops.concat_channels(parts)
+                # not a channel prefix of one list, so Stage-II keeps its own concat
+                x = _concat(updated[:i] + initials[i + 1:])
                 updated.append(unit.forward(x, mode=mode, dropout_p=dropout_p, rng=rng))
         y_next = y
         for g in updated:
@@ -251,14 +266,10 @@ class TimeChannelStepBlock:
             t_over_u = Tensor(np.asarray(t_over_u, dtype=y.data.dtype).reshape(()))
         plane = ops.broadcast_plane(t_over_u, n, 1, h, w)
         feats = [y]
-        outs = []
         for j, u in enumerate(self.units):
             with op_scope(f"growth{j}"):
-                x = feats[0] if len(feats) == 1 else ops.concat_channels(feats)
-                g = u.forward(x, time=plane, mode=mode, dropout_p=dropout_p, rng=rng)
-                feats.append(g)
-                outs.append(g)
-        q = outs[0] if len(outs) == 1 else ops.concat_channels(outs)
+                _dense_growth(feats, [u], time=plane, mode=mode, dropout_p=dropout_p, rng=rng)
+        q = _concat(feats[1:])
         ratio = ops.exp(self.theta.value)
         if self.sign < 0:
             ratio = ops.scale(ratio, -1.0)

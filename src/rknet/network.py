@@ -3,17 +3,18 @@ classifier head into a trainable model; binary checkpoint serialization.
 """
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
 
 from . import ops
-from .blocks import (AttentionalGate, BatchNorm, ErkStepBlock, IrkStepBlock, ParamStore,
-                     SubnetConfig, TimeChannelStepBlock, TransitionLayer, he_normal,
-                     xavier_uniform)
+from .blocks import (BatchNorm, ErkStepBlock, IrkStepBlock, ParamStore, SubnetConfig,
+                     TimeChannelStepBlock, TransitionLayer, he_normal, xavier_uniform)
 from .model_spec import spec_from_config, spec_to_config, validate_spec
 from .rng import make_rng
-from .tensor import ShapeError, Tensor, op_scope
+from .tensor import DTYPES, ShapeError, Tensor, op_scope
 
 
 class InvalidSpecError(ValueError):
@@ -131,7 +132,7 @@ def build_model(spec, seed=0, dtype="float32", linear_test_mode=False):
 def forward(model, x, mode="eval", rng=None):
     """Run the full network; returns (logits, per-period final states)."""
     if not isinstance(x, Tensor):
-        x = Tensor(np.asarray(x, dtype=model.store.params["preprocessor.conv.w"].value.data.dtype))
+        x = Tensor(np.asarray(x, dtype=DTYPES[model.dtype]))
     if tuple(x.shape[1:]) != tuple(model.spec.input_shape):
         raise ShapeError(f"input shape {tuple(x.shape[1:])} does not match "
                          f"model input_shape {tuple(model.spec.input_shape)}")
@@ -140,15 +141,13 @@ def forward(model, x, mode="eval", rng=None):
     states = []
     for p_idx, blocks in enumerate(model.periods):
         with op_scope(f"period{p_idx}"):
-            if blocks and isinstance(blocks[0], TimeChannelStepBlock):
-                t_over_u = 0.0
-                for s_idx, blk in enumerate(blocks):
-                    with op_scope(f"step{s_idx}"):
+            t_over_u = 0.0
+            for s_idx, blk in enumerate(blocks):
+                with op_scope(f"step{s_idx}"):
+                    if blk.kind == "time_channel":
                         h, t_over_u = blk.forward(h, t_over_u, mode=mode,
                                                   dropout_p=model.dropout_p, rng=rng)
-            else:
-                for s_idx, blk in enumerate(blocks):
-                    with op_scope(f"step{s_idx}"):
+                    else:
                         h = blk.forward(h, mode=mode, dropout_p=model.dropout_p, rng=rng)[0]
             states.append(h)
         if p_idx < len(model.transitions):
@@ -220,9 +219,12 @@ def save_checkpoint(model, path):
 
 
 def _read_exact(fh, n, what):
-    data = fh.read(n)
+    # bounded by the bytes left, so a forged header cannot size an allocation
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    data = fh.read(n) if n <= left else b""
     if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint: expected {n} bytes for {what}, got {len(data)}")
+        raise CheckpointError(f"truncated checkpoint: expected {n} bytes for {what}, "
+                              f"{left} left in the file")
     return data
 
 
@@ -243,8 +245,7 @@ def read_checkpoint_tensors(path):
                 raise CheckpointError(f"{path}: unknown dtype code {code} for tensor {name!r}")
             shape = tuple(struct.unpack("<I", _read_exact(fh, 4, "dim"))[0] for _ in range(rank))
             dt = _CODE_DTYPES[code].newbyteorder("<")
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-            raw = _read_exact(fh, nbytes, f"data of {name!r}")
+            raw = _read_exact(fh, math.prod(shape) * dt.itemsize, f"data of {name!r}")
             tensors[name] = np.frombuffer(raw, dtype=dt).reshape(shape).astype(_CODE_DTYPES[code])
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after {count} tensors")
@@ -283,7 +284,3 @@ def load_checkpoint(path):
                                   f"expected {buf.shape}")
         buf[...] = arr
     return model
-
-
-def build_from_config(cfg, seed=0, dtype="float32"):
-    return build_model(spec_from_config(cfg), seed=seed, dtype=dtype)

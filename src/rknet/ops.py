@@ -19,10 +19,6 @@ def _emit(inputs, out_data, backward_fn, what):
     return out
 
 
-def _reduce_axes_keep(grad, axes):
-    return grad.sum(axis=axes)
-
-
 # ---------------------------------------------------------------------------
 # Convolution
 
@@ -102,38 +98,30 @@ def batchnorm2d(x, gamma, beta, stats, mode):
             f"gamma has {gamma.size}, beta has {beta.size}")
     g = gamma.data.reshape(1, c, 1, 1)
     b = beta.data.reshape(1, c, 1, 1)
-    eps = stats.eps
-
-    if mode == "train":
-        mu = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+    axes = (0, 2, 3)
+    train = mode == "train"
+    if train:
+        mu = x.data.mean(axis=axes)
+        var = x.data.var(axis=axes)
         stats.mean += stats.momentum * (mu - stats.mean)
         stats.var += stats.momentum * (var - stats.var)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-        out = g * xhat + b
+    else:
+        mu, var = stats.mean, stats.var
+    inv = (1.0 / np.sqrt(var + stats.eps)).reshape(1, c, 1, 1)
+    xhat = (x.data - mu.reshape(1, c, 1, 1)) * inv
+    out = g * xhat + b
 
-        def backward_fn(gout):
-            axes = (0, 2, 3)
-            gbeta = gout.sum(axis=axes)
-            ggamma = (gout * xhat).sum(axis=axes)
-            gxhat = gout * g
+    def backward_fn(gout):
+        gxhat = gout * g
+        if train:  # batch statistics depend on x too
             m = gout.shape[0] * gout.shape[2] * gout.shape[3]
-            gx = (inv.reshape(1, c, 1, 1) / m) * (
+            gx = (inv / m) * (
                 m * gxhat
                 - gxhat.sum(axis=axes, keepdims=True)
                 - xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
-            return gx.astype(x.data.dtype, copy=False), ggamma, gbeta
-    else:
-        inv = 1.0 / np.sqrt(stats.var + eps)
-        xhat = (x.data - stats.mean.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-        out = g * xhat + b
-
-        def backward_fn(gout):
-            gbeta = gout.sum(axis=(0, 2, 3))
-            ggamma = (gout * xhat).sum(axis=(0, 2, 3))
-            gx = gout * g * inv.reshape(1, c, 1, 1)
-            return gx.astype(x.data.dtype, copy=False), ggamma, gbeta
+        else:
+            gx = gxhat * inv
+        return gx.astype(x.data.dtype, copy=False), (gout * xhat).sum(axis=axes), gout.sum(axis=axes)
 
     return _emit((x, gamma, beta), out.astype(x.data.dtype, copy=False), backward_fn, "batchnorm2d")
 

@@ -67,14 +67,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
 
-def zeros(shape, dtype="float32"):
-    return Tensor(np.zeros(shape, dtype=DTYPES[dtype]))
-
-
-def full(shape, value, dtype="float32"):
-    return Tensor(np.full(shape, value, dtype=DTYPES[dtype]))
-
-
 class Parameter:
     """A trainable tensor with a gradient slot and a stable name."""
 
@@ -188,10 +180,6 @@ def set_debug(flag):
     """Enable per-op finite checks; ops raise NonFiniteError with a scope label."""
     global _DEBUG_FINITE
     _DEBUG_FINITE = bool(flag)
-
-
-def debug_enabled():
-    return _DEBUG_FINITE
 
 
 @contextmanager

@@ -10,7 +10,7 @@ import numpy as np
 from . import network, ops
 from .data import augment_cifar
 from .rng import make_rng
-from .tensor import NonFiniteError, Tape, backward, set_debug
+from .tensor import DTYPES, NonFiniteError, Tape, backward, set_debug
 
 
 class TrainingDivergedError(RuntimeError):
@@ -113,7 +113,7 @@ def train_epochs(model, train_data, test_data, config, on_epoch_end=None):
     """
     state = SgdState()
     params = model.parameters()
-    dtype = model.store.params["preprocessor.conv.w"].value.data.dtype
+    dtype = DTYPES[model.dtype]
     history = []
     for epoch in range(config.epochs):
         lr = lr_at_epoch(config, epoch)
@@ -154,7 +154,7 @@ def train_epochs(model, train_data, test_data, config, on_epoch_end=None):
 
 def evaluate(model, data, batch_size=256):
     """Mean loss and accuracy in eval mode (no augmentation, no dropout)."""
-    dtype = model.store.params["preprocessor.conv.w"].value.data.dtype
+    dtype = DTYPES[model.dtype]
     total_loss, total_correct = 0.0, 0
     for start in range(0, len(data), batch_size):
         x = data.images[start:start + batch_size].astype(dtype, copy=False)

@@ -6,6 +6,8 @@ from central finite differences, and the integrator-equivalence weights are
 derived by direct linear algebra on the stage equations.
 """
 
+import struct
+
 import numpy as np
 
 from rknet import ops
@@ -15,6 +17,16 @@ def mean_all(t):
     """Mean-reduced scalar loss; keeps |loss| ~ O(1) so the finite-difference
     noise floor stays far below the gradient tolerance."""
     return ops.scale(ops.sum_all(t), 1.0 / t.size)
+
+
+def forged_checkpoints():
+    """Checkpoint files, written by hand, whose one tensor header declares far
+    more data than follows: a 2^31 x 16 float64 tensor (256 GiB), and a
+    65536^4 float32 tensor whose element count overflows int64 to 0."""
+    def one_tensor(code, dims, payload):
+        return (b"RKNT" + struct.pack("<IIH", 1, 1, 1) + b"w" + struct.pack("<BB", code, len(dims))
+                + b"".join(struct.pack("<I", d) for d in dims) + payload)
+    return one_tensor(1, (2 ** 31, 16), bytes(8)), one_tensor(0, (65536,) * 4, b"")
 
 
 def naive_conv2d(x, w, stride=1, pad=0):

@@ -244,6 +244,7 @@ def test_criterion_05_causality_and_identity():
            + (f"; failed: {failed}" if failed else ""))
 
 
+@pytest.mark.slow
 def test_criterion_06_stage_trend(shapes_data):
     t0 = time.monotonic()
     train, test = shapes_data
@@ -264,6 +265,7 @@ def test_criterion_06_stage_trend(shapes_data):
            f"{mean_err['ERKNet-1x1']:.2f}% (gap {gap:+.2f}pp <= +1.0pp) in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_training_sanity(shapes_data):
     t0 = time.monotonic()
     train, test = shapes_data
@@ -278,6 +280,7 @@ def test_criterion_07_training_sanity(shapes_data):
            f"(>= 95% at epoch {reached}, well within 30) in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_adaptive_step_ratios(shapes_data, tmp_path):
     t0 = time.monotonic()
     train, test = shapes_data

@@ -194,6 +194,18 @@ class TestTimeChannelStepBlock:
         assert np.allclose(y_next.data, 0.25 + c)
         assert float(t_next.data.reshape(())) == pytest.approx(c + 1.0)
 
+    def test_units_grow_densely(self):
+        # unit j reads the state plus units 0..j-1; unit 0 never sees unit 1
+        m, k = 2, 3
+        store, blk = self.build(m=m, k=k, seed=4)
+        assert [u.in_ch for u in blk.units] == [m * k + j * k for j in range(m)]
+        y = rand_state(np.random.default_rng(5), blk.channels)
+        before, _ = blk.forward(y, 0.5, mode="eval")
+        blk.units[1].w.value.data += 0.1
+        after, _ = blk.forward(y, 0.5, mode="eval")
+        assert np.array_equal(after.data[:, :k], before.data[:, :k])
+        assert not np.allclose(after.data[:, k:2 * k], before.data[:, k:2 * k])
+
     def test_ratio_is_sign_times_exp_theta(self):
         store, blk = self.build()
         blk.theta.value.data[...] = 0.5

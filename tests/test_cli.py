@@ -7,6 +7,8 @@ import pytest
 
 from rknet import cli, network
 
+from oracles import forged_checkpoints
+
 TINY = {"name": "ERKNet-1x1", "k": 4, "input_shape": [3, 8, 8], "num_classes": 4}
 SYN = ["--synthetic-train", "32", "--synthetic-test", "8"]
 
@@ -159,8 +161,9 @@ class TestTrainEvalInspect:
         blob = bytearray((out / "final.ckpt").read_bytes())
         blob[:4] = b"ZZZZ"
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(bytes(blob))
-        assert cli.main(["eval", "--checkpoint", str(bad), "--data", "synthetic", *SYN]) == 2
+        for data in [bytes(blob), *forged_checkpoints()]:
+            bad.write_bytes(data)
+            assert cli.main(["eval", "--checkpoint", str(bad), "--data", "synthetic", *SYN]) == 2
 
     def test_inspect_steps_on_fresh_time_channel_model(self, tmp_path, capsys):
         cfg_over = {"name": "RKNet-1x3", "kind": "time_channel", "k": 4,

@@ -8,7 +8,7 @@ from rknet import network, ops
 from rknet.rng import make_rng
 from rknet.tensor import ShapeError, Tape, Tensor, backward
 
-from oracles import fd_gradcheck
+from oracles import fd_gradcheck, forged_checkpoints
 
 TINY = {"name": "IRKNet-2x1_2x1", "k": 6, "input_shape": [3, 16, 16], "num_classes": 4}
 
@@ -208,9 +208,10 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         network.save_checkpoint(model, path)
         raw = path.read_bytes()
-        path.write_bytes(raw[:len(raw) // 2])
-        with pytest.raises(network.CheckpointError, match="truncated"):
-            network.load_checkpoint(path)
+        for blob in [raw[:len(raw) // 2], *forged_checkpoints()]:
+            path.write_bytes(blob)
+            with pytest.raises(network.CheckpointError, match="truncated"):
+                network.load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
         model = build()
