@@ -17,6 +17,7 @@ from . import data as datamod
 from . import model_spec as ms
 from . import network, rk
 from . import train as trainmod
+from .atomic import atomic_write
 
 
 def _fail(message):
@@ -141,7 +142,7 @@ def cmd_convert(args):
     print(ms.render_model_name(spec))
     doc = json.dumps(ms.spec_to_config(spec), indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out, "w", encoding="utf-8") as fh:
             fh.write(doc + "\n")
     else:
         print(doc)
@@ -167,7 +168,7 @@ def cmd_verify_order(args):
                 lines.append(f"{m},{pname},{h:.10g},{err:.10e},{order:.6f}")
             print(f"{m} on {pname}: estimated order {order:.3f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     else:
         print("\n".join(lines))

@@ -10,6 +10,7 @@ import struct
 import numpy as np
 
 from . import ops
+from .atomic import atomic_write
 from .blocks import (BatchNorm, ErkStepBlock, IrkStepBlock, ParamStore, SubnetConfig,
                      TimeChannelStepBlock, TransitionLayer, he_normal, xavier_uniform)
 from .model_spec import spec_from_config, spec_to_config, validate_spec
@@ -211,7 +212,7 @@ def _write_tensor(fh, name, arr):
 
 def save_checkpoint(model, path):
     tensors = _state_tensors(model)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(tensors)))
         for name, arr in tensors.items():

@@ -1,7 +1,8 @@
 """Differentiable layer primitives (numpy forward + hand-written backward).
 
-Convolution uses im2col + GEMM; the naive sliding-window version lives in the
-test suite as an independent oracle.  Every op records itself on the active
+Convolution is one GEMM per kernel tap over a padded channel-major copy of
+the input (see ``conv2d``); the naive sliding-window version lives in the test
+suite as an independent oracle.  Every op records itself on the active
 tape (if any) and is pure given its inputs and rng.
 """
 
@@ -22,29 +23,22 @@ def _emit(inputs, out_data, backward_fn, what):
 # ---------------------------------------------------------------------------
 # Convolution
 
-def _im2col(x, kh, kw, stride, pad):
-    n, c, h, w = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    img = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    sn, sc, sh, sw = img.strides
-    view = np.lib.stride_tricks.as_strided(
-        img, (n, oh, ow, c, kh, kw), (sn, sh * stride, sw * stride, sc, sh, sw))
-    return view.reshape(n * oh * ow, c * kh * kw), oh, ow
-
-
-def _col2im(cols, x_shape, kh, kw, stride, pad, oh, ow):
-    n, c, h, w = x_shape
-    col = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    img = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            img[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += col[:, :, i, j]
-    return img[:, :, pad:pad + h, pad:pad + w]
-
-
 def conv2d(x, w, stride=1, pad=0):
-    """Cross-correlate NCHW input with OIKK kernels (no bias)."""
+    """Cross-correlate NCHW input with OIKK kernels (no bias).
+
+    The padded input is laid out channel-major as ``xf`` of shape
+    (C, N*Hp*Wp + tail), the tail being zeros.  Kernel tap (i, j) then reads
+    the contiguous slice starting at i*Wp + j, so each tap is one GEMM into a
+    "wide" (O, N*Hp*Wp) output that holds every padded position.  Positions
+    whose window crosses a row or image edge are cropped away; the output is
+    the strided view of the wide result at the top-left corners of the valid
+    windows, so every stride, pad and kernel size takes the same path.
+
+    The backward places the output gradient once per tap at that tap's offset
+    (a k*k*O-row stack, O being the few output channels of a growth conv)
+    and gets gw and the gradient of ``xf`` from one GEMM each.  The tape keeps
+    ``xf`` (about the size of x), not a copy of every window.
+    """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW x and OIKK w, got {x.shape} and {w.shape}")
     if w.shape[1] != x.shape[1]:
@@ -60,15 +54,40 @@ def conv2d(x, w, stride=1, pad=0):
     if h + 2 * pad < kh or wd + 2 * pad < kw:
         raise ShapeError(f"conv2d: kernel {w.shape} larger than padded input {x.shape}")
 
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
-    w2 = w.data.reshape(o, -1)
-    out = (cols @ w2.T).reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    m = n * hp * wp
+    offsets = [i * wp + j for i in range(kh) for j in range(kw)]
+    dtype = np.result_type(x.data, w.data)
+    xf = np.zeros((c, m + offsets[-1]), dtype=dtype)
+    xf[:, :m].reshape(c, n, hp, wp)[:, :, pad:pad + h, pad:pad + wd] = x.data.transpose(1, 0, 2, 3)
+    taps = w.data.astype(dtype, copy=False).transpose(2, 3, 0, 1).reshape(kh * kw, o, c)
+    # the valid window corners inside the (O, N, Hp, Wp) wide layout
+    corners = (slice(None), slice(None),
+               slice(0, (oh - 1) * stride + 1, stride), slice(0, (ow - 1) * stride + 1, stride))
+
+    wide = taps[0] @ xf[:, :m]
+    tmp = np.empty_like(wide)
+    for t in range(1, len(offsets)):
+        wide += np.matmul(taps[t], xf[:, offsets[t]:offsets[t] + m], out=tmp)
+    out = wide.reshape(o, n, hp, wp)[corners].transpose(1, 0, 2, 3)
 
     def backward_fn(gout):
-        g2 = gout.transpose(0, 2, 3, 1).reshape(-1, o)
-        gw = (g2.T @ cols).reshape(w.shape)
-        gx = _col2im(g2 @ w2, x.shape, kh, kw, stride, pad, oh, ow)
-        return gx, gw
+        # shifted[t, :, off_t + p] = gwide[:, p]: the wide output gradient
+        # once per tap, moved to where that tap read xf.  Then
+        # gw[t] = gwide @ xf[:, off_t:off_t + m].T = shifted[t] @ xf.T and
+        # gxf = sum_t taps[t].T @ shifted[t], one GEMM each over all taps.
+        shifted = np.zeros((kh * kw, o, xf.shape[1]), dtype=dtype)
+        gwide = shifted[0, :, :m]
+        gwide.reshape(o, n, hp, wp)[corners] = gout.transpose(1, 0, 2, 3)
+        for t in range(1, len(offsets)):
+            shifted[t, :, offsets[t]:offsets[t] + m] = gwide
+        shifted = shifted.reshape(kh * kw * o, -1)
+        gw = (shifted @ xf.T).reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
+        gxf = taps.reshape(kh * kw * o, c).T @ shifted
+        gx = gxf[:, :m].reshape(c, n, hp, wp)[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
+        return (np.ascontiguousarray(gx, dtype=x.data.dtype),
+                np.ascontiguousarray(gw, dtype=w.data.dtype))
 
     return _emit((x, w), np.ascontiguousarray(out), backward_fn, "conv2d")
 
@@ -136,8 +155,8 @@ def relu(x):
 
 def sigmoid(x):
     z = x.data
-    s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                 np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    e = np.exp(-np.abs(z))
+    s = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     s = s.astype(z.dtype, copy=False)
     return _emit((x,), s, lambda g: (g * s * (1 - s),), "sigmoid")
 

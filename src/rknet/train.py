@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import network, ops
+from .atomic import atomic_write
 from .data import augment_cifar
 from .rng import make_rng
 from .tensor import DTYPES, NonFiniteError, Tape, backward, set_debug
@@ -171,7 +172,7 @@ METRICS_HEADER = "epoch,lr,train_loss,train_acc,test_loss,test_acc"
 
 def write_metrics_csv(history, path):
     """One row per epoch, floats with 6 decimals."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(METRICS_HEADER + "\n")
         for row in history:
             fh.write("{epoch},{lr:.6f},{train_loss:.6f},{train_acc:.6f},"

@@ -46,6 +46,26 @@ def naive_conv2d(x, w, stride=1, pad=0):
     return out
 
 
+def naive_conv2d_grads(x, w, gout, stride=1, pad=0):
+    """Input and kernel gradients of ``naive_conv2d`` for the output gradient
+    ``gout``, by the same loops: each output element spreads its gradient over
+    the window it read."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for ni in range(n):
+        for oi in range(o):
+            for yi in range(gout.shape[2]):
+                for xi in range(gout.shape[3]):
+                    win = (ni, slice(None), slice(yi * stride, yi * stride + kh),
+                           slice(xi * stride, xi * stride + kw))
+                    gxp[win] += gout[ni, oi, yi, xi] * w[oi]
+                    gw[oi] += gout[ni, oi, yi, xi] * xp[win]
+    return gxp[:, :, pad:pad + h, pad:pad + wd], gw
+
+
 def two_pass_batchnorm(x, gamma, beta, eps=1e-5):
     """Straightforward two-pass mean/variance normalization oracle."""
     out = np.empty_like(x)

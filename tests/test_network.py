@@ -193,6 +193,25 @@ class TestCheckpoints:
         assert loaded.epoch == 5
         assert loaded.seed == 123
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "best.ckpt"
+        network.save_checkpoint(build(seed=1), path)
+        before = path.read_bytes()
+        real_write, calls = network._write_tensor, []
+
+        def failing_write(fh, name, arr):
+            calls.append(name)
+            if len(calls) == 3:
+                fh.write(b"partial")
+                raise OSError("disk full")
+            real_write(fh, name, arr)
+
+        monkeypatch.setattr(network, "_write_tensor", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            network.save_checkpoint(build(seed=2), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
     def test_corrupted_magic_rejected(self, tmp_path):
         model = build()
         path = tmp_path / "model.ckpt"

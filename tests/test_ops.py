@@ -1,6 +1,7 @@
 """Layer-op semantics against independent oracles and hand-checked values."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from rknet import ops
 from rknet.rng import make_rng
 from rknet.tensor import Parameter, ShapeError, Tape, Tensor, backward
 
-from oracles import (fd_gradcheck, mean_all, naive_conv2d,
+from oracles import (fd_gradcheck, mean_all, naive_conv2d, naive_conv2d_grads,
                      naive_softmax_cross_entropy, two_pass_batchnorm)
 
 
@@ -51,6 +52,56 @@ class TestConv2d:
                              stride=stride, pad=pad).data
             ref = naive_conv2d(x, w, stride, pad)
             assert np.allclose(got, ref, rtol=1e-6, atol=1e-12)
+
+    def test_float32_batches_match_float64_oracle(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            c = int(rng.integers(1, 17))
+            o = int(rng.integers(1, 9))
+            k = int(rng.choice([1, 2, 3]))
+            stride = int(rng.integers(1, 3))
+            pad = int(rng.integers(0, 2))
+            h = int(rng.integers(k, 10))
+            wd = int(rng.integers(k, 10))
+            x = rng.normal(size=(int(rng.integers(3, 6)), c, h, wd)).astype(np.float32)
+            w = rng.normal(size=(o, c, k, k)).astype(np.float32)
+            got = ops.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad).data
+            ref = naive_conv2d(x.astype(np.float64), w.astype(np.float64), stride, pad)
+            assert got.dtype == np.float32
+            assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+    def test_gradients_match_loop_oracle(self):
+        # batch of 3 with non-zero borders: a tap that read across an image
+        # edge into the next image in the flat layout would show in gx and gw
+        rng = np.random.default_rng(7)
+        for k in (1, 2, 3):
+            for stride in (1, 2):
+                for pad in (0, 1):
+                    x = rng.normal(size=(3, 2, 7, 6)) + 2.0
+                    w = rng.normal(size=(3, 2, k, k))
+                    with Tape() as tape:
+                        out = ops.conv2d(Tensor(x, dtype="float64"), Tensor(w, dtype="float64"),
+                                         stride=stride, pad=pad)
+                    gout = rng.normal(size=out.shape)
+                    gx, gw = tape._nodes[-1].backward_fn(gout)
+                    ref_gx, ref_gw = naive_conv2d_grads(x, w, gout, stride, pad)
+                    assert gx.shape == x.shape and gw.shape == w.shape
+                    assert np.allclose(gx, ref_gx, rtol=1e-10, atol=1e-12), (k, stride, pad)
+                    assert np.allclose(gw, ref_gw, rtol=1e-10, atol=1e-12), (k, stride, pad)
+
+    def test_tape_keeps_about_one_copy_of_the_input(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(8, 16, 32, 32)).astype(np.float32))
+        w = Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = ops.conv2d(x, w, stride=1, pad=1)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        assert retained <= 2 * (x.data.nbytes + out.data.nbytes)
 
     def test_output_spatial_dims(self):
         x = Tensor(np.zeros((1, 2, 9, 7)))
