@@ -64,15 +64,13 @@ def xavier_uniform(rng, shape):
 
 @dataclass
 class SubnetConfig:
-    """How each growth unit is realized (shared by all block kinds)."""
+    """How each growth unit is realized (shared by all block kinds).
 
-    bottleneck: bool = False
+    A ``bottleneck_width`` of 0 means no bottleneck.
+    """
+
     bottleneck_width: int = 0
     linear_test_mode: bool = False
-
-    def __post_init__(self):
-        if self.bottleneck and self.bottleneck_width < 1:
-            raise ValueError("bottleneck requires a positive bottleneck_width")
 
 
 class BatchNorm:
@@ -90,7 +88,8 @@ class BatchNorm:
 class GrowthUnit:
     """BN -> ReLU -> 3x3 conv producing k new channels.
 
-    With a bottleneck, a 1x1 conv (then BN -> ReLU) precedes the 3x3 conv.
+    With a bottleneck, a 1x1 conv to ``subnet.bottleneck_width`` channels
+    (then BN -> ReLU) precedes the 3x3 conv.
     A raw time plane, when given, is concatenated after BN/ReLU so that
     normalization never touches it.  Dropout follows each convolution.
     """
@@ -106,7 +105,7 @@ class GrowthUnit:
             self.w = store.add_param(f"{prefix}.conv.w", np.zeros((k, conv_in, 1, 1)))
             return
         self.bn = BatchNorm(store, f"{prefix}.bn", in_ch)
-        if subnet.bottleneck:
+        if subnet.bottleneck_width:
             bw = subnet.bottleneck_width
             self.w1 = store.add_param(f"{prefix}.conv1x1.w", he_normal(rng, (bw, conv_in, 1, 1)))
             self.bn2 = BatchNorm(store, f"{prefix}.bn2", bw)
@@ -125,7 +124,7 @@ class GrowthUnit:
         h = ops.relu(self.bn(x, mode))
         if time is not None:
             h = ops.concat_channels([h, time])
-        if self.subnet.bottleneck:
+        if self.subnet.bottleneck_width:
             h = ops.conv2d(h, self.w1.value, stride=1, pad=0)
             h = ops.dropout(h, dropout_p, mode, rng)
             h = ops.relu(self.bn2(h, mode))
@@ -233,19 +232,16 @@ class TimeChannelStepBlock:
     """One Euler time-step with an explicit trainable step-size ratio.
 
     The subnetwork sees the state plus a constant plane holding accumulated
-    scaled time T/u; its output is multiplied by ratio_n = sign * exp(theta_n)
-    to form the increment, and T/u advances by ratio_n.  BN and ReLU never
-    touch the time plane.
+    scaled time T/u; its output is multiplied by the positive ratio
+    h_n/u = exp(theta_n) to form the increment, and T/u advances by that
+    ratio.  BN and ReLU never touch the time plane.
     """
 
     kind = "time_channel"
 
-    def __init__(self, store, prefix, m, k, subnet=None, sign=1.0, rng=None, units=None):
-        if sign == 0:
-            raise ValueError("time-channel sign must be nonzero")
+    def __init__(self, store, prefix, m, k, subnet=None, rng=None, units=None):
         self.m, self.k = m, k
         self.channels = m * k
-        self.sign = 1.0 if sign > 0 else -1.0
         self.subnet = subnet or SubnetConfig()
         # units may be shared across a period's steps; the step-size scalar never is
         self.units = units if units is not None else [
@@ -256,7 +252,7 @@ class TimeChannelStepBlock:
 
     def step_ratio(self):
         """Current trained value of h_n/u."""
-        return self.sign * float(np.exp(self.theta.value.data))
+        return float(np.exp(self.theta.value.data))
 
     def forward(self, y, t_over_u, mode="train", dropout_p=0.0, rng=None):
         if y.shape[1] != self.channels:
@@ -271,8 +267,6 @@ class TimeChannelStepBlock:
                 _dense_growth(feats, [u], time=plane, mode=mode, dropout_p=dropout_p, rng=rng)
         q = _concat(feats[1:])
         ratio = ops.exp(self.theta.value)
-        if self.sign < 0:
-            ratio = ops.scale(ratio, -1.0)
         y_next = ops.add(y, ops.mul_scalar(q, ratio))
         return y_next, ops.add(t_over_u, ratio)
 

@@ -7,6 +7,7 @@ All randomness flows from --seed (default 0).
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -69,11 +70,40 @@ def cmd_build(args):
     return 0
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# JSON values a config's "train" section may hold, by TrainConfig field type
+_TRAIN_VALUES = {
+    int: (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
+    float: (_is_number, "a number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    tuple: (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+}
+
+
+def _train_section(cfg):
+    """The config's optional "train" object, checked key by key against TrainConfig."""
+    section = cfg.get("train", {})
+    if not isinstance(section, dict):
+        raise ms.ConfigError(f"config key 'train' must be an object, got {section!r}")
+    fields = {f.name: f for f in dataclasses.fields(trainmod.TrainConfig)}
+    for key, value in section.items():
+        if key not in fields:
+            raise ms.ConfigError(f"unknown train key {key!r}; expected one of {sorted(fields)}")
+        f = fields[key]
+        accepts, kind = _TRAIN_VALUES[f.type]
+        if not (accepts(value) or (value is None and f.default is None)):
+            raise ms.ConfigError(f"train key {key!r} must be {kind}, got {value!r}")
+    return dict(section)
+
+
 def cmd_train(args):
     cfg = ms.load_config(args.config)
     spec = ms.spec_from_config(cfg)
 
-    tcfg = dict(cfg.get("train", {}))
+    tcfg = _train_section(cfg)
     for key, value in (("epochs", args.epochs), ("batch_size", args.batch_size),
                        ("lr0", args.lr), ("seed", args.seed), ("augment", args.augment),
                        ("dropout_p", args.dropout)):

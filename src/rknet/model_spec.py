@@ -11,7 +11,7 @@ config file, not the name.
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 KINDS = ("erk", "irk", "time_channel")
 
@@ -90,9 +90,7 @@ class ModelSpec:
     multiscale: bool = False
     num_classes: int = 10
     input_shape: tuple = (3, 32, 32)
-    preprocessor_channels: int = None
     share_weights: bool = False
-    name: str = ""
 
     def __post_init__(self):
         if not self.periods:
@@ -100,10 +98,8 @@ class ModelSpec:
         self.input_shape = tuple(int(v) for v in self.input_shape)
         if len(self.input_shape) != 3:
             raise ValueError(f"input_shape must be (C, H, W), got {self.input_shape}")
-        if self.preprocessor_channels is None:
-            self.preprocessor_channels = self.periods[0].channels
-        if not self.name:
-            self.name = render_model_name(self)
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes must be at least 1, got {self.num_classes}")
 
 
 def parse_model_name(name):
@@ -163,11 +159,6 @@ def validate_spec(spec):
             violations.append(Violation(
                 "time-channel construction",
                 f"{where}: time-channel steps use the one-stage (Euler) form, got s={p.s}"))
-    if spec.preprocessor_channels != spec.periods[0].channels:
-        violations.append(Violation(
-            "dimension principle",
-            f"preprocessor outputs {spec.preprocessor_channels} channels but "
-            f"period 1 has state width {spec.periods[0].channels}"))
     h, w = spec.input_shape[1], spec.input_shape[2]
     for idx in range(len(spec.periods)):
         if h < 2 or w < 2:
@@ -295,12 +286,20 @@ def count_parameters(spec):
 # ---------------------------------------------------------------------------
 # Config documents
 
+def _read(value, key, cast):
+    """cast(value), any failure reported as a ConfigError naming the key."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from None
+
+
 def _per_period(value, n, key, cast):
     if isinstance(value, list):
         if len(value) != n:
             raise ConfigError(f"config key {key!r}: expected {n} per-period values, got {len(value)}")
-        return [cast(v) for v in value]
-    return [cast(value)] * n
+        return [_read(v, key, cast) for v in value]
+    return [_read(value, key, cast)] * n
 
 
 def spec_from_config(cfg):
@@ -308,6 +307,8 @@ def spec_from_config(cfg):
     if "name" not in cfg:
         raise ConfigError("config needs a 'name' key")
     name = cfg["name"]
+    if not isinstance(name, str):
+        raise ConfigError(f"config key 'name' must be a string, got {name!r}")
     pairs = parse_model_name(name)
     n = len(pairs)
     kind_default = name_kind_hint(name) or "erk"
@@ -322,10 +323,10 @@ def spec_from_config(cfg):
     return ModelSpec(
         periods,
         multiscale=bool(cfg.get("multiscale", False)),
-        num_classes=int(cfg.get("num_classes", 10)),
-        input_shape=tuple(cfg.get("input_shape", (3, 32, 32))),
+        num_classes=_read(cfg.get("num_classes", 10), "num_classes", int),
+        input_shape=_read(cfg.get("input_shape", (3, 32, 32)), "input_shape",
+                          lambda v: tuple(int(d) for d in v)),
         share_weights=bool(cfg.get("share_weights", False)),
-        name=name,
     )
 
 

@@ -67,7 +67,7 @@ class RkNetModel:
         return rows
 
 
-def build_model(spec, seed=0, dtype="float32", linear_test_mode=False):
+def build_model(spec, seed=0, dtype="float32"):
     """Deterministically initialize a model for the given spec.
 
     Conv weights use He-normal init, fully connected weights Xavier-uniform.
@@ -84,9 +84,7 @@ def build_model(spec, seed=0, dtype="float32", linear_test_mode=False):
 
     periods = []
     for p_idx, p in enumerate(spec.periods):
-        subnet = SubnetConfig(bottleneck=p.bottleneck,
-                              bottleneck_width=p.bottleneck_width if p.bottleneck else 0,
-                              linear_test_mode=linear_test_mode)
+        subnet = SubnetConfig(bottleneck_width=p.bottleneck_width if p.bottleneck else 0)
         prefix = f"period{p_idx}"
         blocks = []
         shared = None

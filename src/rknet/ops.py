@@ -8,7 +8,7 @@ tape (if any) and is pure given its inputs and rng.
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, active_tape, check_finite
+from .tensor import DTYPES, ShapeError, Tensor, active_tape, check_finite
 
 
 def _emit(inputs, out_data, backward_fn, what):
@@ -98,12 +98,12 @@ def conv2d(x, w, stride=1, pad=0):
 class BatchNormState:
     """Running statistics for one batchnorm layer (not trained)."""
 
-    def __init__(self, channels, dtype="float32", momentum=0.1, eps=1e-5):
-        npdtype = np.float32 if dtype == "float32" else np.float64
-        self.mean = np.zeros(channels, dtype=npdtype)
-        self.var = np.ones(channels, dtype=npdtype)
-        self.momentum = momentum
-        self.eps = eps
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, channels, dtype="float32"):
+        self.mean = np.zeros(channels, dtype=DTYPES[dtype])
+        self.var = np.ones(channels, dtype=DTYPES[dtype])
 
 
 def batchnorm2d(x, gamma, beta, stats, mode):
@@ -121,13 +121,15 @@ def batchnorm2d(x, gamma, beta, stats, mode):
     train = mode == "train"
     if train:
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xc = x.data - mu.reshape(1, c, 1, 1)
+        var = (xc * xc).mean(axis=axes)  # x.var's own formula, without its second mean pass
         stats.mean += stats.momentum * (mu - stats.mean)
         stats.var += stats.momentum * (var - stats.var)
     else:
-        mu, var = stats.mean, stats.var
+        xc = x.data - stats.mean.reshape(1, c, 1, 1)
+        var = stats.var
     inv = (1.0 / np.sqrt(var + stats.eps)).reshape(1, c, 1, 1)
-    xhat = (x.data - mu.reshape(1, c, 1, 1)) * inv
+    xhat = np.multiply(xc, inv, out=xc)  # in place: no second x-sized array at the peak
     out = g * xhat + b
 
     def backward_fn(gout):

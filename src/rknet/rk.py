@@ -130,23 +130,29 @@ class Trajectory:
         return self.states[-1]
 
 
-def solve_implicit_stages(tab, f, t_n, y_n, h, tol=1e-12, max_iter=100):
+# fixed-point iteration of the implicit stages: converged once no stage slope
+# moves by STAGE_TOL, failed after STAGE_MAX_ITER sweeps
+STAGE_TOL = 1e-12
+STAGE_MAX_ITER = 100
+
+
+def solve_implicit_stages(tab, f, t_n, y_n, h):
     s = tab.s
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.stack([np.asarray(f(t_n + tab.c[i] * h, y_n), dtype=np.float64)
                       for i in range(s)])
-        for it in range(max_iter):
+        for it in range(STAGE_MAX_ITER):
             znew = np.empty_like(z)
             for i in range(s):
                 yi = y_n + h * (tab.a[i] @ z)
                 znew[i] = f(t_n + tab.c[i] * h, yi)
             delta = np.max(np.abs(znew - z))
             z = znew
-            if delta < tol:
+            if delta < STAGE_TOL:
                 return z
             if not np.isfinite(delta):
                 raise StageSolveError(it + 1, delta)
-    raise StageSolveError(max_iter, delta)
+    raise StageSolveError(STAGE_MAX_ITER, delta)
 
 
 def rk_step(tab, f, t_n, y_n, h):
@@ -197,14 +203,13 @@ def global_error(tab, problem, h, t_end):
     return float(np.max(np.abs(traj.final_state - problem.exact(t_end))))
 
 
-def order_study(tab, problem, h0, levels, t_end=None):
-    """Errors at h0, h0/2, ... plus the mean observed convergence order."""
+def order_study(tab, problem, h0, levels):
+    """Errors at t0 + 1 for h0, h0/2, ... plus the mean observed convergence order."""
     if levels < 3:
         raise ValueError(f"order_study: need at least 3 levels, got {levels}")
     if problem.exact is None:
         raise ValueError("order_study: problem has no exact solution")
-    if t_end is None:
-        t_end = problem.t0 + 1.0
+    t_end = problem.t0 + 1.0
     hs = [h0 / 2 ** lv for lv in range(levels)]
     errors = [global_error(tab, problem, h, t_end) for h in hs]
     if any(e == 0.0 for e in errors):
@@ -214,9 +219,9 @@ def order_study(tab, problem, h0, levels, t_end=None):
     return hs, errors, sum(ratios) / len(ratios)
 
 
-def estimate_order(tab, problem, h0, levels, t_end=None):
+def estimate_order(tab, problem, h0, levels):
     """Empirical convergence order: mean of log2(err(h)/err(h/2)) over halvings."""
-    return order_study(tab, problem, h0, levels, t_end)[2]
+    return order_study(tab, problem, h0, levels)[2]
 
 
 @dataclass
@@ -226,13 +231,16 @@ class ConditionCheck:
     residual: float
 
 
-def check_tableau(tab, tol=1e-12):
+CONDITION_TOL = 1e-12
+
+
+def check_tableau(tab):
     """Verify consistency, the node convention, and order conditions up to 2."""
     checks = []
     r = abs(float(tab.b.sum()) - 1.0)
-    checks.append(ConditionCheck("consistency: sum(b) = 1", r <= tol, r))
+    checks.append(ConditionCheck("consistency: sum(b) = 1", r <= CONDITION_TOL, r))
     r = float(np.max(np.abs(tab.c - tab.a.sum(axis=1))))
-    checks.append(ConditionCheck("row sums: c_i = sum_j a_ij", r <= tol, r))
+    checks.append(ConditionCheck("row sums: c_i = sum_j a_ij", r <= CONDITION_TOL, r))
     r = abs(float(tab.b @ tab.c) - 0.5)
-    checks.append(ConditionCheck("order 2: sum(b_i c_i) = 1/2", r <= tol, r))
+    checks.append(ConditionCheck("order 2: sum(b_i c_i) = 1/2", r <= CONDITION_TOL, r))
     return checks

@@ -60,9 +60,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def copy(self):
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
@@ -150,7 +147,10 @@ def backward(tape, loss):
     if id(loss) not in produced:
         raise TapeError("loss was not produced under this tape")
 
-    for node in reversed(tape._nodes):
+    # pop each node as it runs, so its closure's arrays are freed during the pass
+    nodes = tape._nodes
+    while nodes:
+        node = nodes.pop()
         gout = grads.pop(id(node.output), None)
         if gout is None:
             continue

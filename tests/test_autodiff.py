@@ -1,5 +1,7 @@
 """Tape semantics and gradient correctness of the autodiff engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,31 @@ def test_tape_is_single_use():
     backward(tape, loss)
     with pytest.raises(TapeError, match="consumed"):
         backward(tape, loss)
+
+
+def test_backward_releases_the_tape_as_it_runs():
+    # with the tape object still referenced, the arrays its nodes held are freed
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.normal(size=(4, 8, 16, 16)), dtype="float64")
+    w = make_param(rng, (8, 8, 3, 3), "w", scale=0.1)
+
+    def forward():
+        h = x
+        for _ in range(6):
+            h = ops.relu(ops.conv2d(h, w.value, stride=1, pad=1))
+        return mean_all(h)
+
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = forward()
+        after_forward, _ = tracemalloc.get_traced_memory()
+        backward(tape, loss)
+        after_backward, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.any(w.grad.data != 0)
+    assert after_backward < after_forward / 10, (after_forward, after_backward)
 
 
 def test_non_scalar_loss_rejected():

@@ -206,13 +206,10 @@ class TestTimeChannelStepBlock:
         assert np.array_equal(after.data[:, :k], before.data[:, :k])
         assert not np.allclose(after.data[:, k:2 * k], before.data[:, k:2 * k])
 
-    def test_ratio_is_sign_times_exp_theta(self):
+    def test_ratio_is_exp_theta(self):
         store, blk = self.build()
         blk.theta.value.data[...] = 0.5
         assert blk.step_ratio() == pytest.approx(np.exp(0.5))
-        store2 = ParamStore("float32")
-        neg = TimeChannelStepBlock(store2, "n", 1, 4, sign=-1.0, rng=make_rng(0, "n"))
-        assert neg.step_ratio() == pytest.approx(-1.0)
 
     def test_theta_gradient_nonzero_and_matches_fd(self):
         # two chained steps so the accumulated-time path contributes too

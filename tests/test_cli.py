@@ -51,6 +51,25 @@ class TestBuild:
         assert cli.main(["build", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("sub,overrides", [
+    ("build", {"input_shape": 5}),
+    ("build", {"name": 5}),
+    ("build", {"k": None}),
+    ("build", {"num_classes": 0}),
+    ("train", {"num_classes": 0}),
+    ("train", {"train": 5}),
+    ("train", {"train": {"epochs": 1, "warmup": 3}}),
+    ("train", {"train": {"epochs": "1"}}),
+])
+def test_malformed_config_exits_1_with_an_error_line(tmp_path, capsys, sub, overrides):
+    argv = [sub, "--config", write_config(tmp_path, **overrides)]
+    if sub == "train":
+        argv += ["--data", "synthetic", *SYN, "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
 class TestConvert:
     def test_cliquenet_555_names_table2_model(self, tmp_path, capsys):
         out_cfg = tmp_path / "irk.json"

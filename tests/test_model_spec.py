@@ -93,11 +93,6 @@ class TestValidateSpec:
                                              input_shape=(3, 18, 18))) == []
         assert any("even" in v.message for v in violations)
 
-    def test_preprocessor_channel_mismatch(self):
-        spec = ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=4)], input_shape=(3, 16, 16),
-                            preprocessor_channels=5)
-        assert any(v.rule == "dimension principle" for v in ms.validate_spec(spec))
-
     def test_time_channel_requires_single_stage(self):
         spec = ms.ModelSpec([ms.PeriodSpec(s=2, r=1, k=4, kind="time_channel")],
                             input_shape=(3, 16, 16))
@@ -108,8 +103,6 @@ class TestValidateSpec:
             ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=8, kind="irk")], input_shape=(3, 16, 16)),
             ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=4) for _ in range(6)],
                          input_shape=(3, 32, 32)),
-            ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=4)], input_shape=(3, 16, 16),
-                         preprocessor_channels=3),
             ms.ModelSpec([ms.PeriodSpec(s=3, r=1, k=4, m=2, kind="irk")],
                          input_shape=(3, 16, 16)),
         ]
