@@ -96,8 +96,9 @@ class ModelSpec:
         if not self.periods:
             raise ValueError("ModelSpec needs at least one period")
         self.input_shape = tuple(int(v) for v in self.input_shape)
-        if len(self.input_shape) != 3:
-            raise ValueError(f"input_shape must be (C, H, W), got {self.input_shape}")
+        if len(self.input_shape) != 3 or min(self.input_shape) < 1:
+            raise ValueError(f"input_shape must be (C, H, W) with every dimension at least 1, "
+                             f"got {self.input_shape}")
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be at least 1, got {self.num_classes}")
 
@@ -294,6 +295,21 @@ def _read(value, key, cast):
         raise ConfigError(f"config key {key!r}: {exc}") from None
 
 
+def _flag(value):
+    """A JSON boolean; bool() would read the string "false" as true."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _integer(value):
+    """A JSON number with an integral value; int() would truncate 2.7 to 2."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _per_period(value, n, key, cast):
     if isinstance(value, list):
         if len(value) != n:
@@ -313,20 +329,20 @@ def spec_from_config(cfg):
     n = len(pairs)
     kind_default = name_kind_hint(name) or "erk"
     kinds = _per_period(cfg.get("kind", kind_default), n, "kind", _canonical_kind)
-    ks = _per_period(cfg.get("k", 12), n, "k", int)
-    ms = _per_period(cfg.get("m", 1), n, "m", int)
-    bns = _per_period(cfg.get("bottleneck", False), n, "bottleneck", bool)
+    ks = _per_period(cfg.get("k", 12), n, "k", _integer)
+    ms = _per_period(cfg.get("m", 1), n, "m", _integer)
+    bns = _per_period(cfg.get("bottleneck", False), n, "bottleneck", _flag)
     atts = _per_period(cfg.get("attentional_transition", False), n,
-                       "attentional_transition", bool)
+                       "attentional_transition", _flag)
     periods = [PeriodSpec(s=s, r=r, k=k, m=m, kind=kd, bottleneck=bn, attentional_transition=att)
                for (s, r), k, m, kd, bn, att in zip(pairs, ks, ms, kinds, bns, atts)]
     return ModelSpec(
         periods,
-        multiscale=bool(cfg.get("multiscale", False)),
-        num_classes=_read(cfg.get("num_classes", 10), "num_classes", int),
+        multiscale=_read(cfg.get("multiscale", False), "multiscale", _flag),
+        num_classes=_read(cfg.get("num_classes", 10), "num_classes", _integer),
         input_shape=_read(cfg.get("input_shape", (3, 32, 32)), "input_shape",
-                          lambda v: tuple(int(d) for d in v)),
-        share_weights=bool(cfg.get("share_weights", False)),
+                          lambda v: tuple(_integer(d) for d in v)),
+        share_weights=_read(cfg.get("share_weights", False), "share_weights", _flag),
     )
 
 

@@ -1,9 +1,13 @@
 """Differentiable layer primitives (numpy forward + hand-written backward).
 
-Convolution is one GEMM per kernel tap over a padded channel-major copy of
-the input (see ``conv2d``); the naive sliding-window version lives in the test
-suite as an independent oracle.  Every op records itself on the active
-tape (if any) and is pure given its inputs and rng.
+Convolution stacks every kernel tap into one GEMM per cache-sized block of a
+padded channel-major copy of the input and shift-adds the partial products
+(see ``conv2d``); the naive sliding-window version lives in the test suite as
+an independent oracle.  The growth unit's BN -> ReLU -> conv chain is written
+to touch each activation as few times as numpy allows: batchnorm allocates
+its ``xhat`` and output arrays once each, updates them in place and takes
+channel sums with ``einsum``, and relu keeps no mask.  Every op records
+itself on the active tape (if any) and is pure given its inputs and rng.
 """
 
 import numpy as np
@@ -23,21 +27,34 @@ def _emit(inputs, out_data, backward_fn, what):
 # ---------------------------------------------------------------------------
 # Convolution
 
+# Columns of the wide (O, N*Hp*Wp) layout per conv block.  4096 float32
+# columns of a 3x3, 12-output tap stack (108 rows) are 1.7 MiB: the stacked
+# GEMM result and the backward scratch stay cache-sized while every GEMM is
+# still long enough to run at full speed.
+CONV_BLOCK = 4096
+
+
 def conv2d(x, w, stride=1, pad=0):
     """Cross-correlate NCHW input with OIKK kernels (no bias).
 
     The padded input is laid out channel-major as ``xf`` of shape
     (C, N*Hp*Wp + tail), the tail being zeros.  Kernel tap (i, j) then reads
-    the contiguous slice starting at i*Wp + j, so each tap is one GEMM into a
-    "wide" (O, N*Hp*Wp) output that holds every padded position.  Positions
-    whose window crosses a row or image edge are cropped away; the output is
-    the strided view of the wide result at the top-left corners of the valid
-    windows, so every stride, pad and kernel size takes the same path.
+    the contiguous slice starting at off = i*Wp + j, so the forward sums
+    k*k shifted GEMMs into a "wide" (O, N*Hp*Wp) output that holds every
+    padded position.  Positions whose window crosses a row or image edge are
+    cropped away; the output is the strided view of the wide result at the
+    top-left corners of the valid windows, so every stride, pad and kernel
+    size takes the same path.
 
-    The backward places the output gradient once per tap at that tap's offset
-    (a k*k*O-row stack, O being the few output channels of a growth conv)
-    and gets gw and the gradient of ``xf`` from one GEMM each.  The tape keeps
-    ``xf`` (about the size of x), not a copy of every window.
+    The wide output is built in column blocks of ``CONV_BLOCK``: one GEMM of
+    all k*k*O stacked taps against the block's slice of ``xf`` (plus the
+    tail), then its k*k row groups are shifted by their offsets and added in
+    tap order.  This is the kn2row scheme of Anderson et al.,
+    arXiv:1709.03395, per cache-sized block.  The backward walks the same
+    blocks: it fills a fixed (k*k, O, block) scratch with the wide output
+    gradient shifted back by each tap's offset and gets one block of gw and
+    of the gradient of ``xf`` from one GEMM each.  The tape keeps ``xf``
+    (about the size of x), not a copy of every window.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW x and OIKK w, got {x.shape} and {w.shape}")
@@ -57,35 +74,53 @@ def conv2d(x, w, stride=1, pad=0):
     hp, wp = h + 2 * pad, wd + 2 * pad
     oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     m = n * hp * wp
+    kk = kh * kw
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
+    tail = offsets[-1]
     dtype = np.result_type(x.data, w.data)
-    xf = np.zeros((c, m + offsets[-1]), dtype=dtype)
+    xf = np.zeros((c, m + tail), dtype=dtype)
     xf[:, :m].reshape(c, n, hp, wp)[:, :, pad:pad + h, pad:pad + wd] = x.data.transpose(1, 0, 2, 3)
-    taps = w.data.astype(dtype, copy=False).transpose(2, 3, 0, 1).reshape(kh * kw, o, c)
+    taps = w.data.astype(dtype, copy=False).transpose(2, 3, 0, 1).reshape(kk * o, c)
     # the valid window corners inside the (O, N, Hp, Wp) wide layout
     corners = (slice(None), slice(None),
                slice(0, (oh - 1) * stride + 1, stride), slice(0, (ow - 1) * stride + 1, stride))
+    block = max(1, min(CONV_BLOCK, m))
 
-    wide = taps[0] @ xf[:, :m]
-    tmp = np.empty_like(wide)
-    for t in range(1, len(offsets)):
-        wide += np.matmul(taps[t], xf[:, offsets[t]:offsets[t] + m], out=tmp)
+    wide = np.empty((o, m), dtype=dtype)
+    scratch = np.empty(kk * o * (block + tail), dtype=dtype)
+    for a in range(0, m, block):
+        b = min(a + block, m)
+        # stacked[t*O + r, q] = taps[t][r] . xf[:, a + q]; tap t adds its
+        # columns off_t.. to wide[:, a:b]
+        stacked = scratch[:kk * o * (b - a + tail)].reshape(kk * o, b - a + tail)
+        np.matmul(taps, xf[:, a:b + tail], out=stacked)
+        wide[:, a:b] = stacked[:o, :b - a]
+        for t in range(1, kk):
+            wide[:, a:b] += stacked[t * o:(t + 1) * o, offsets[t]:offsets[t] + b - a]
     out = wide.reshape(o, n, hp, wp)[corners].transpose(1, 0, 2, 3)
 
     def backward_fn(gout):
-        # shifted[t, :, off_t + p] = gwide[:, p]: the wide output gradient
-        # once per tap, moved to where that tap read xf.  Then
-        # gw[t] = gwide @ xf[:, off_t:off_t + m].T = shifted[t] @ xf.T and
-        # gxf = sum_t taps[t].T @ shifted[t], one GEMM each over all taps.
-        shifted = np.zeros((kh * kw, o, xf.shape[1]), dtype=dtype)
-        gwide = shifted[0, :, :m]
-        gwide.reshape(o, n, hp, wp)[corners] = gout.transpose(1, 0, 2, 3)
-        for t in range(1, len(offsets)):
-            shifted[t, :, offsets[t]:offsets[t] + m] = gwide
-        shifted = shifted.reshape(kh * kw * o, -1)
-        gw = (shifted @ xf.T).reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
-        gxf = taps.reshape(kh * kw * o, c).T @ shifted
-        gx = gxf[:, :m].reshape(c, n, hp, wp)[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
+        # gpad[:, tail + p] is the gradient of wide column p; tap t read xf
+        # column q into wide column q - off_t, so its shifted gradient at q
+        # is gpad[:, tail - off_t + q] (zero where q - off_t < 0).  Columns
+        # q >= m of xf (the zero tail) only ever met zero gradient.
+        gpad = np.zeros((o, tail + m), dtype=dtype)
+        gpad[:, tail:].reshape(o, n, hp, wp)[corners] = gout.transpose(1, 0, 2, 3)
+        gw = np.zeros((kk * o, c), dtype=dtype)
+        gxf = np.empty((c, m), dtype=dtype)
+        scratch = np.empty(kk * o * block, dtype=dtype)
+        taps_t = np.ascontiguousarray(taps.T)
+        for a in range(0, m, block):
+            b = min(a + block, m)
+            shifted = scratch[:kk * o * (b - a)].reshape(kk, o, b - a)
+            for t in range(kk):
+                shifted[t] = gpad[:, tail - offsets[t] + a:tail - offsets[t] + b]
+            shifted = shifted.reshape(kk * o, b - a)
+            gw += shifted @ xf[:, a:b].T
+            np.matmul(taps_t, shifted, out=gxf[:, a:b])
+        gpad = scratch = shifted = None  # freed, so the copy into gx peaks at gx + gxf + gw
+        gx = gxf.reshape(c, n, hp, wp)[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
+        gw = gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
         return (np.ascontiguousarray(gx, dtype=x.data.dtype),
                 np.ascontiguousarray(gw, dtype=w.data.dtype))
 
@@ -107,7 +142,14 @@ class BatchNormState:
 
 
 def batchnorm2d(x, gamma, beta, stats, mode):
-    """Per-channel normalization over (N, H, W); train mode updates stats."""
+    """Per-channel normalization over (N, H, W); train mode updates stats.
+
+    ``xhat`` and ``out`` are allocated once each and updated in place, and
+    the per-channel sums (of x, of squares, and of products in the backward)
+    are taken by ``einsum`` without an x-sized temporary.  The backward is
+    ``gx = a*gout + b*xhat + c`` with per-channel a, b and c (b = c = 0 in
+    eval mode, where the statistics do not depend on x).
+    """
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm2d: mode must be 'train' or 'eval', got {mode!r}")
     c = x.shape[1]
@@ -115,34 +157,34 @@ def batchnorm2d(x, gamma, beta, stats, mode):
         raise ShapeError(
             f"batchnorm2d channel mismatch: input has {c} channels, "
             f"gamma has {gamma.size}, beta has {beta.size}")
-    g = gamma.data.reshape(1, c, 1, 1)
-    b = beta.data.reshape(1, c, 1, 1)
-    axes = (0, 2, 3)
+    per_channel = (1, c, 1, 1)
+    g = gamma.data.reshape(per_channel)
+    b = beta.data.reshape(per_channel)
+    m = x.shape[0] * x.shape[2] * x.shape[3]
     train = mode == "train"
     if train:
-        mu = x.data.mean(axis=axes)
-        xc = x.data - mu.reshape(1, c, 1, 1)
-        var = (xc * xc).mean(axis=axes)  # x.var's own formula, without its second mean pass
+        mu = np.einsum("nchw->c", x.data) / m
+        xhat = x.data - mu.reshape(per_channel)
+        var = np.einsum("nchw,nchw->c", xhat, xhat) / m
         stats.mean += stats.momentum * (mu - stats.mean)
         stats.var += stats.momentum * (var - stats.var)
     else:
-        xc = x.data - stats.mean.reshape(1, c, 1, 1)
+        xhat = x.data - stats.mean.reshape(per_channel)
         var = stats.var
-    inv = (1.0 / np.sqrt(var + stats.eps)).reshape(1, c, 1, 1)
-    xhat = np.multiply(xc, inv, out=xc)  # in place: no second x-sized array at the peak
-    out = g * xhat + b
+    inv = (1.0 / np.sqrt(var + stats.eps)).reshape(per_channel)
+    xhat *= inv
+    out = xhat * g
+    out += b
 
     def backward_fn(gout):
-        gxhat = gout * g
+        gsum = np.einsum("nchw->c", gout)
+        gdot = np.einsum("nchw,nchw->c", gout, xhat)
+        a = g * inv
+        gx = gout * a
         if train:  # batch statistics depend on x too
-            m = gout.shape[0] * gout.shape[2] * gout.shape[3]
-            gx = (inv / m) * (
-                m * gxhat
-                - gxhat.sum(axis=axes, keepdims=True)
-                - xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
-        else:
-            gx = gxhat * inv
-        return gx.astype(x.data.dtype, copy=False), (gout * xhat).sum(axis=axes), gout.sum(axis=axes)
+            gx -= a * (gsum / m).reshape(per_channel)
+            gx -= xhat * (a * (gdot / m).reshape(per_channel))
+        return gx.astype(x.data.dtype, copy=False), gdot, gsum
 
     return _emit((x, gamma, beta), out.astype(x.data.dtype, copy=False), backward_fn, "batchnorm2d")
 
@@ -151,8 +193,14 @@ def batchnorm2d(x, gamma, beta, stats, mode):
 # Pointwise and structural ops
 
 def relu(x):
-    mask = x.data > 0
-    return _emit((x,), np.where(mask, x.data, 0), lambda g: (g * mask,), "relu")
+    """max(x, 0), with gradient g * [x > 0].
+
+    The backward rebuilds the mask from the output, which the tape holds
+    anyway, so no mask is kept.  -0.0 maps to +0.0 and a NaN input stays NaN
+    (``np.maximum`` propagates it); its gradient is 0.
+    """
+    out = np.maximum(x.data, 0)
+    return _emit((x,), out, lambda g: (g * (out > 0),), "relu")
 
 
 def sigmoid(x):

@@ -45,6 +45,8 @@ class TrainConfig:
         self.lr_drop_points = pts
         if self.dropout_p is None:
             self.dropout_p = 0.0 if self.augment else 0.2
+        if not 0 <= self.dropout_p < 1:
+            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
 
 
 def lr_at_epoch(config, epoch):

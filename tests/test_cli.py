@@ -60,6 +60,16 @@ class TestBuild:
     ("train", {"train": 5}),
     ("train", {"train": {"epochs": 1, "warmup": 3}}),
     ("train", {"train": {"epochs": "1"}}),
+    ("build", {"multiscale": "false"}),
+    ("build", {"bottleneck": "false"}),
+    ("build", {"attentional_transition": [0]}),
+    ("build", {"share_weights": "no"}),
+    ("build", {"k": 2.7}),
+    ("build", {"m": 1.5}),
+    ("build", {"num_classes": 4.2}),
+    ("build", {"input_shape": [0, 8, 8]}),
+    ("train", {"train": {"epochs": 1, "dropout_p": 1.5}}),
+    ("train", {"train": {"epochs": 1, "dropout_p": -0.1}}),
 ])
 def test_malformed_config_exits_1_with_an_error_line(tmp_path, capsys, sub, overrides):
     argv = [sub, "--config", write_config(tmp_path, **overrides)]

@@ -89,6 +89,69 @@ class TestConv2d:
                     assert np.allclose(gx, ref_gx, rtol=1e-10, atol=1e-12), (k, stride, pad)
                     assert np.allclose(gw, ref_gw, rtol=1e-10, atol=1e-12), (k, stride, pad)
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_walk_matches_loop_oracles(self, monkeypatch, block):
+        # 3x2x4x6 inputs give 72 (pad 0) and 144 (pad 1) wide columns, so a
+        # block of 7 leaves a ragged last block and a block of 1 puts every
+        # tap's shift across a block edge
+        monkeypatch.setattr(ops, "CONV_BLOCK", block)
+        rng = np.random.default_rng(17)
+        for k in (1, 2, 3):
+            for stride in (1, 2):
+                for pad in (0, 1):
+                    x = rng.normal(size=(3, 2, 4, 6)) + 2.0
+                    w = rng.normal(size=(3, 2, k, k))
+                    with Tape() as tape:
+                        out = ops.conv2d(Tensor(x, dtype="float64"), Tensor(w, dtype="float64"),
+                                         stride=stride, pad=pad)
+                    gout = rng.normal(size=out.shape)
+                    gx, gw = tape._nodes[-1].backward_fn(gout)
+                    ref_gx, ref_gw = naive_conv2d_grads(x, w, gout, stride, pad)
+                    case = (block, k, stride, pad)
+                    assert np.allclose(out.data, naive_conv2d(x, w, stride, pad),
+                                       rtol=1e-10, atol=1e-12), case
+                    assert np.allclose(gx, ref_gx, rtol=1e-10, atol=1e-12), case
+                    assert np.allclose(gw, ref_gw, rtol=1e-10, atol=1e-12), case
+
+    def test_float32_over_several_blocks_matches_float64_oracle(self):
+        # 10 x 32 x 32 padded positions = 10240 wide columns: two full blocks
+        # and a ragged third at the module's block width
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(10, 4, 30, 30)).astype(np.float32)
+        w = rng.normal(size=(3, 4, 3, 3)).astype(np.float32)
+        assert 2 * ops.CONV_BLOCK < 10 * 32 * 32 < 3 * ops.CONV_BLOCK
+        with Tape() as tape:
+            out = ops.conv2d(Tensor(x), Tensor(w), stride=1, pad=1)
+        gout = rng.normal(size=out.shape).astype(np.float32)
+        gx, gw = tape._nodes[-1].backward_fn(gout)
+        x64, w64 = x.astype(np.float64), w.astype(np.float64)
+        ref = naive_conv2d(x64, w64, 1, 1)
+        ref_gx, ref_gw = naive_conv2d_grads(x64, w64, gout.astype(np.float64), 1, 1)
+        for got, want in ((out.data, ref), (gx, ref_gx), (gw, ref_gw)):
+            assert got.dtype == np.float32
+            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+    def test_backward_transient_is_one_block_of_tap_stack(self):
+        # a growth conv (36 -> 12, 3x3, pad 1) with 20736 wide columns: a
+        # stack of the wide gradient for all 9 taps would be 9 MB on its own
+        rng = np.random.default_rng(19)
+        n, c, o, side = 64, 36, 12, 16
+        x = Tensor(rng.normal(size=(n, c, side, side)).astype(np.float32))
+        w = Tensor(rng.normal(size=(o, c, 3, 3)).astype(np.float32))
+        with Tape() as tape:
+            out = ops.conv2d(x, w, stride=1, pad=1)
+        gout = rng.normal(size=out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            gx, gw = tape._nodes[-1].backward_fn(gout)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = n * (side + 2) ** 2
+        gxf = c * m * 4
+        scratch = 9 * o * min(ops.CONV_BLOCK, m) * 4
+        assert peak <= gx.nbytes + gxf + gw.nbytes + scratch
+
     def test_tape_keeps_about_one_copy_of_the_input(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(8, 16, 32, 32)).astype(np.float32))
@@ -127,6 +190,48 @@ class TestConv2d:
             loss = mean_all(ops.sigmoid(ops.conv2d(x.value, w.value, 2, 1)))
         backward(tape, loss)
         assert fd_gradcheck(loss_fn, [x, w], rng, n_coords=40) < 1e-4
+
+
+class TestRelu:
+    def test_finite_inputs_match_where_bitwise(self):
+        rng = np.random.default_rng(20)
+        for dtype in ("float32", "float64"):
+            x = rng.normal(size=(4, 5, 6, 7)).astype(dtype)
+            x.flat[:6] = [0.0, -0.0, 1e-40, -1e-40, np.finfo(dtype).max, -np.finfo(dtype).max]
+            got = ops.relu(Tensor(x)).data
+            ref = np.where(x > 0, x, 0)
+            assert got.dtype == x.dtype and got.tobytes() == ref.tobytes()
+
+    def test_gradient_is_g_where_input_positive(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(3, 4, 5, 5))
+        x.flat[:2] = [0.0, -0.0]
+        with Tape() as tape:
+            ops.relu(Tensor(x, dtype="float64"))
+        g = rng.normal(size=x.shape)
+        (gx,) = tape._nodes[-1].backward_fn(g)
+        assert np.array_equal(gx, g * (x > 0))
+
+    def test_nan_propagates_with_zero_gradient(self):
+        x = np.array([np.nan, -1.0, 2.0])
+        with Tape() as tape:
+            out = ops.relu(Tensor(x, dtype="float64"))
+        assert np.isnan(out.data[0]) and np.array_equal(out.data[1:], [0.0, 2.0])
+        (gx,) = tape._nodes[-1].backward_fn(np.ones(3))
+        assert np.array_equal(gx, [0.0, 0.0, 1.0])
+
+    def test_tape_keeps_no_mask(self):
+        x = Tensor(np.random.default_rng(22).normal(size=(16, 16, 32, 32)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = ops.relu(x)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a boolean mask would add x.size bytes to the output's 4 * x.size
+        assert len(tape) == 1
+        assert retained < out.data.nbytes + x.size // 2
 
 
 class TestBatchNorm:
