@@ -75,6 +75,8 @@ def gen_synthetic_shapes(n_per_class, classes=4, size=16, noise=0.1, seed=0, spl
     Shapes are drawn at a jittered center with unit intensity on all three
     channels plus additive Gaussian noise.  Deterministic given (seed, split).
     """
+    if n_per_class < 1:
+        raise ValueError(f"gen_synthetic_shapes: n_per_class must be >= 1, got {n_per_class}")
     if size < 8:
         raise ValueError(f"gen_synthetic_shapes: size must be >= 8, got {size}")
     if not 1 <= classes <= 4:

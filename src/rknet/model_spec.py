@@ -10,8 +10,10 @@ config file, not the name.
 """
 
 import json
+import math
 import re
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 KINDS = ("erk", "irk", "time_channel")
 
@@ -34,7 +36,7 @@ class ConversionError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Malformed model config document."""
+    """Malformed config document or training setting."""
 
 
 @dataclass
@@ -287,35 +289,44 @@ def count_parameters(spec):
 # ---------------------------------------------------------------------------
 # Config documents
 
-def _read(value, key, cast):
+def read_key(value, key, cast):
     """cast(value), any failure reported as a ConfigError naming the key."""
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
 
 
-def _flag(value):
+def as_flag(value):
     """A JSON boolean; bool() would read the string "false" as true."""
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
     return value
 
 
-def _integer(value):
-    """A JSON number with an integral value; int() would truncate 2.7 to 2."""
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+def as_integer(value):
+    """A JSON or numpy number with an integral value; int() would truncate 2.7 to 2."""
+    integral = isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer()
     if isinstance(value, bool) or not integral:
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def as_number(value):
+    """A finite JSON or numpy real number, as a float; json.load reads NaN and Infinity."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _per_period(value, n, key, cast):
     if isinstance(value, list):
         if len(value) != n:
             raise ConfigError(f"config key {key!r}: expected {n} per-period values, got {len(value)}")
-        return [_read(v, key, cast) for v in value]
-    return [_read(value, key, cast)] * n
+        return [read_key(v, key, cast) for v in value]
+    return [read_key(value, key, cast)] * n
 
 
 def spec_from_config(cfg):
@@ -329,20 +340,20 @@ def spec_from_config(cfg):
     n = len(pairs)
     kind_default = name_kind_hint(name) or "erk"
     kinds = _per_period(cfg.get("kind", kind_default), n, "kind", _canonical_kind)
-    ks = _per_period(cfg.get("k", 12), n, "k", _integer)
-    ms = _per_period(cfg.get("m", 1), n, "m", _integer)
-    bns = _per_period(cfg.get("bottleneck", False), n, "bottleneck", _flag)
+    ks = _per_period(cfg.get("k", 12), n, "k", as_integer)
+    ms = _per_period(cfg.get("m", 1), n, "m", as_integer)
+    bns = _per_period(cfg.get("bottleneck", False), n, "bottleneck", as_flag)
     atts = _per_period(cfg.get("attentional_transition", False), n,
-                       "attentional_transition", _flag)
+                       "attentional_transition", as_flag)
     periods = [PeriodSpec(s=s, r=r, k=k, m=m, kind=kd, bottleneck=bn, attentional_transition=att)
                for (s, r), k, m, kd, bn, att in zip(pairs, ks, ms, kinds, bns, atts)]
     return ModelSpec(
         periods,
-        multiscale=_read(cfg.get("multiscale", False), "multiscale", _flag),
-        num_classes=_read(cfg.get("num_classes", 10), "num_classes", _integer),
-        input_shape=_read(cfg.get("input_shape", (3, 32, 32)), "input_shape",
-                          lambda v: tuple(_integer(d) for d in v)),
-        share_weights=_read(cfg.get("share_weights", False), "share_weights", _flag),
+        multiscale=read_key(cfg.get("multiscale", False), "multiscale", as_flag),
+        num_classes=read_key(cfg.get("num_classes", 10), "num_classes", as_integer),
+        input_shape=read_key(cfg.get("input_shape", (3, 32, 32)), "input_shape",
+                              lambda v: tuple(as_integer(d) for d in v)),
+        share_weights=read_key(cfg.get("share_weights", False), "share_weights", as_flag),
     )
 
 

@@ -263,23 +263,19 @@ def load_checkpoint(path):
     model = build_model(spec, seed=int(tensors["__seed__"]), dtype=dtype)
     model.epoch = int(tensors["__epoch__"])
 
-    expected = set(model.store.params) | set(model.store.buffers)
+    arrays = {name: p.value.data for name, p in model.store.params.items()}
+    arrays.update(model.store.buffers)
+    expected = arrays.keys()
     stored = {k for k in tensors if not k.startswith("__")}
     if stored != expected:
         unknown = sorted(stored - expected)
         missing = sorted(expected - stored)
         raise CheckpointError(f"{path}: tensor names do not match the model "
                               f"(unknown: {unknown[:5]}, missing: {missing[:5]})")
-    for name, p in model.store.params.items():
+    for name, dst in arrays.items():
         arr = tensors[name]
-        if arr.shape != p.value.data.shape:
+        if arr.shape != dst.shape:
             raise CheckpointError(f"{path}: tensor {name!r} has shape {arr.shape}, "
-                                  f"expected {p.value.data.shape}")
-        p.value.data[...] = arr
-    for name, buf in model.store.buffers.items():
-        arr = tensors[name]
-        if arr.shape != buf.shape:
-            raise CheckpointError(f"{path}: buffer {name!r} has shape {arr.shape}, "
-                                  f"expected {buf.shape}")
-        buf[...] = arr
+                                  f"expected {dst.shape}")
+        dst[...] = arr
     return model

@@ -207,7 +207,6 @@ def sigmoid(x):
     z = x.data
     e = np.exp(-np.abs(z))
     s = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    s = s.astype(z.dtype, copy=False)
     return _emit((x,), s, lambda g: (g * s * (1 - s),), "sigmoid")
 
 
@@ -364,7 +363,6 @@ def dropout(x, p, mode, rng):
         return x
     draw_dtype = np.float32 if x.data.dtype == np.float32 else np.float64
     keep = (rng.random(x.shape, dtype=draw_dtype) >= p) / np.asarray(1 - p, dtype=x.data.dtype)
-    keep = keep.astype(x.data.dtype, copy=False)
     return _emit((x,), x.data * keep, lambda g: (g * keep,), "dropout")
 
 

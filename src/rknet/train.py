@@ -3,23 +3,32 @@ learning-rate schedule, and the epoch loop with deterministic rng indexing.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import network, ops
 from .atomic import atomic_write
 from .data import augment_cifar
+from .model_spec import as_flag, as_integer, as_number, read_key
 from .rng import make_rng
-from .tensor import DTYPES, NonFiniteError, Tape, backward, set_debug
+from .tensor import NonFiniteError, Tape, backward, set_debug
 
 
 class TrainingDivergedError(RuntimeError):
     """Raised when the loss turns non-finite (diagnostic names the first bad tensor)."""
 
 
+def _numbers(value):
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(as_number(v) for v in value)
+
+
 @dataclass
 class TrainConfig:
+    """Training settings; ``__post_init__`` checks each field by its type's reader."""
+
     epochs: int
     batch_size: int = 64
     lr0: float = 0.1
@@ -31,18 +40,24 @@ class TrainConfig:
     dropout_p: float = None   # policy default: 0.2 without augmentation, 0 with
     seed: int = 0
 
+    _READERS = {int: as_integer, float: as_number, bool: as_flag, tuple: _numbers}
+
     def __post_init__(self):
+        for f in fields(self):
+            if (value := getattr(self, f.name)) is not None or f.default is not None:
+                setattr(self, f.name, read_key(value, f.name, self._READERS[f.type]))
         if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+            raise ValueError(f"at least 1 epoch required, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        for name in ("lr0", "momentum", "weight_decay", "lr_drop_factor"):
+        for name in ("lr0", "momentum", "weight_decay", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        pts = tuple(self.lr_drop_points)
+        if self.lr_drop_factor <= 0:
+            raise ValueError(f"lr_drop_factor must be positive, got {self.lr_drop_factor}")
+        pts = self.lr_drop_points
         if any(not 0 < p < 1 for p in pts) or list(pts) != sorted(set(pts)):
             raise ValueError(f"lr_drop_points must be strictly increasing in (0, 1), got {pts}")
-        self.lr_drop_points = pts
         if self.dropout_p is None:
             self.dropout_p = 0.0 if self.augment else 0.2
         if not 0 <= self.dropout_p < 1:
@@ -84,8 +99,8 @@ def sgd_nesterov_step(params, state, lr, momentum, weight_decay):
         p.value.data -= (lr * (g + momentum * v)).astype(p.value.data.dtype, copy=False)
 
 
-def _batch_arrays(dataset, idxs, config, epoch, dtype):
-    x = dataset.images[idxs].astype(dtype, copy=True)
+def _batch_arrays(dataset, idxs, config, epoch):
+    x = dataset.images[idxs]
     if config.augment:
         for j, i in enumerate(idxs):
             x[j] = augment_cifar(x[j], make_rng(config.seed, "aug", epoch, int(i)))
@@ -116,7 +131,6 @@ def train_epochs(model, train_data, test_data, config, on_epoch_end=None):
     """
     state = SgdState()
     params = model.parameters()
-    dtype = DTYPES[model.dtype]
     history = []
     for epoch in range(config.epochs):
         lr = lr_at_epoch(config, epoch)
@@ -125,7 +139,7 @@ def train_epochs(model, train_data, test_data, config, on_epoch_end=None):
         total_loss, total_correct = 0.0, 0
         for b_idx, start in enumerate(range(0, len(perm), config.batch_size)):
             idxs = perm[start:start + config.batch_size]
-            x, labels = _batch_arrays(train_data, idxs, config, epoch, dtype)
+            x, labels = _batch_arrays(train_data, idxs, config, epoch)
             rng = make_rng(config.seed, "dropout", epoch, b_idx)
             with Tape() as tape:
                 logits, _ = network.forward(model, x, mode="train", rng=rng)
@@ -157,10 +171,9 @@ def train_epochs(model, train_data, test_data, config, on_epoch_end=None):
 
 def evaluate(model, data, batch_size=256):
     """Mean loss and accuracy in eval mode (no augmentation, no dropout)."""
-    dtype = DTYPES[model.dtype]
     total_loss, total_correct = 0.0, 0
     for start in range(0, len(data), batch_size):
-        x = data.images[start:start + batch_size].astype(dtype, copy=False)
+        x = data.images[start:start + batch_size]
         labels = data.labels[start:start + batch_size]
         logits, _ = network.forward(model, x, mode="eval", rng=None)
         loss = ops.softmax_cross_entropy(logits, labels)

@@ -1,11 +1,13 @@
 """Subcommand behavior and the exit-code contract (0 ok / 1 validation / 2 runtime)."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from rknet import cli, network
+from rknet.train import TrainConfig
 
 from oracles import forged_checkpoints
 
@@ -18,6 +20,13 @@ def write_config(tmp_path, filename="model.json", **overrides):
     path = tmp_path / filename
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def assert_rejected(argv, capsys, out):
+    """Exit 1 with an error line, no traceback, and no output directory."""
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sub", ["build", "train", "eval", "convert",
@@ -70,14 +79,40 @@ class TestBuild:
     ("build", {"input_shape": [0, 8, 8]}),
     ("train", {"train": {"epochs": 1, "dropout_p": 1.5}}),
     ("train", {"train": {"epochs": 1, "dropout_p": -0.1}}),
+    ("train", {"train": {"epochs": 1, "momentum": float("nan")}}),
+    ("train", {"train": {"epochs": 1, "lr0": float("inf")}}),
+    ("train", {"train": {"epochs": 1, "lr_drop_factor": 0}}),
 ])
 def test_malformed_config_exits_1_with_an_error_line(tmp_path, capsys, sub, overrides):
     argv = [sub, "--config", write_config(tmp_path, **overrides)]
     if sub == "train":
         argv += ["--data", "synthetic", *SYN, "--out", str(tmp_path / "run")]
-    assert cli.main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "run").exists()
+    assert_rejected(argv, capsys, tmp_path / "run")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lr", "nan"],
+    ["--synthetic-train", "0"],
+    ["--synthetic-test", "0"],
+])
+def test_bad_train_flag_exits_1_with_an_error_line(tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    argv = ["train", "--config", write_config(tmp_path), "--data", "synthetic", *SYN,
+            "--epochs", "1", *flags, "--out", str(out)]
+    assert_rejected(argv, capsys, out)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TrainConfig)])
+def test_every_train_setting_is_checked_by_train_config(tmp_path, capsys, name):
+    # TrainConfig is the one validator: a field added later is checked on
+    # every path, the library call and the config's "train" section alike
+    section = {"epochs": 1, name: "1"}
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**section)
+    out = tmp_path / "run"
+    argv = ["train", "--config", write_config(tmp_path, train=section), "--data", "synthetic",
+            *SYN, "--out", str(out)]
+    assert_rejected(argv, capsys, out)
 
 
 class TestConvert:

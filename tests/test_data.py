@@ -104,6 +104,10 @@ class TestSyntheticShapes:
         with pytest.raises(ValueError, match="size"):
             gen_synthetic_shapes(5, size=4)
 
+    def test_empty_split_rejected(self):
+        with pytest.raises(ValueError, match="n_per_class"):
+            gen_synthetic_shapes(0)
+
     def test_nearest_neighbor_baseline_exceeds_90_percent(self):
         # brute-force 1-NN over raw pixels: a sanity oracle that the classes
         # are separable at moderate noise

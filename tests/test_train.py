@@ -34,6 +34,34 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="drop_points"):
             T.TrainConfig(epochs=1, lr_drop_points=(0.5, 1.5))
 
+    @pytest.mark.parametrize("bad", [
+        {"augment": "false"},
+        {"augment": 0},
+        {"lr0": True},
+        {"lr0": "0.1"},
+        {"momentum": float("nan")},
+        {"lr0": float("inf")},
+        {"lr_drop_points": (0.5, float("nan"))},
+        {"lr_drop_points": 0.5},
+        {"lr_drop_factor": 0},
+        {"epochs": 2.5},
+        {"batch_size": 1e400},
+        {"seed": -1},
+        {"lr0": 10 ** 400},
+    ])
+    def test_rejects_wrong_types_and_non_finite_values(self, bad):
+        with pytest.raises(ValueError):
+            T.TrainConfig(**{"epochs": 1, **bad})
+
+    def test_reads_integral_and_numpy_numbers(self):
+        cfg = T.TrainConfig(epochs=12.0, batch_size=np.int64(16), lr0=np.float32(0.5),
+                            lr_drop_points=[0.5], seed=np.uint8(3))
+        assert (cfg.epochs, cfg.batch_size, cfg.seed) == (12, 16, 3)
+        assert all(type(v) is int for v in (cfg.epochs, cfg.batch_size, cfg.seed))
+        assert cfg.lr0 == 0.5 and type(cfg.lr0) is float
+        assert cfg.lr_drop_points == (0.5,)
+        assert T.TrainConfig(epochs=1, lr0=1).lr0 == 1.0
+
 
 class TestLrSchedule:
     def test_300_epoch_recipe(self):
