@@ -97,6 +97,8 @@ def cmd_train(args):
     train_data, test_data = _resolve_data(args.data, spec, config.seed, args.synthetic_noise,
                                           args.synthetic_train, args.synthetic_test)
     _check_data_shape(spec, train_data)
+    if config.augment and spec.input_shape[1:] != (32, 32):
+        _fail(f"augment needs 32x32 images, config has input_shape {spec.input_shape}")
     model = network.build_model(spec, seed=config.seed)
 
     os.makedirs(args.out, exist_ok=True)

@@ -12,7 +12,7 @@ config file, not the name.
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 KINDS = ("erk", "irk", "time_channel")
@@ -61,12 +61,10 @@ class PeriodSpec:
     attentional_transition: bool = False
 
     def __post_init__(self):
+        read_fields(self, {int: as_integer, str: as_kind, bool: as_flag})
         for name in ("s", "r", "k", "m"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"PeriodSpec.{name} must be a positive integer, got {v!r}")
-        if self.kind not in KINDS:
-            raise ValueError(f"PeriodSpec.kind must be one of {KINDS}, got {self.kind!r}")
+            if getattr(self, name) < 1:
+                raise ValueError(f"PeriodSpec.{name} must be positive, got {getattr(self, name)}")
 
     @property
     def channels(self):
@@ -95,9 +93,10 @@ class ModelSpec:
     share_weights: bool = False
 
     def __post_init__(self):
+        read_fields(self, {list: _periods, bool: as_flag, int: as_integer,
+                           tuple: as_tuple(as_integer)})
         if not self.periods:
             raise ValueError("ModelSpec needs at least one period")
-        self.input_shape = tuple(int(v) for v in self.input_shape)
         if len(self.input_shape) != 3 or min(self.input_shape) < 1:
             raise ValueError(f"input_shape must be (C, H, W) with every dimension at least 1, "
                              f"got {self.input_shape}")
@@ -289,12 +288,14 @@ def count_parameters(spec):
 # ---------------------------------------------------------------------------
 # Config documents
 
-def read_key(value, key, cast):
-    """cast(value), any failure reported as a ConfigError naming the key."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from None
+def read_fields(obj, readers):
+    """Read each field of dataclass obj by readers[its type]; None stays where it is the default."""
+    for f in fields(obj):
+        if (value := getattr(obj, f.name)) is not None or f.default is not None:
+            try:
+                setattr(obj, f.name, readers[f.type](value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"config key {f.name!r}: {exc}") from None
 
 
 def as_flag(value):
@@ -321,12 +322,33 @@ def as_number(value):
     return float(value)
 
 
-def _per_period(value, n, key, cast):
+def as_tuple(read):
+    """Reader of a JSON list (or tuple) whose every element is read by read."""
+    def read_all(value):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(read(v) for v in value)
+    return read_all
+
+
+def _periods(value):
+    if not isinstance(value, (list, tuple)) or not all(isinstance(p, PeriodSpec) for p in value):
+        raise TypeError(f"expected a list of PeriodSpec, got {value!r}")
+    return list(value)
+
+
+# config keys are field names; s and r come from the model name
+_PERIOD_KEYS = [f.name for f in fields(PeriodSpec) if f.name not in ("s", "r")]
+_MODEL_KEYS = [f.name for f in fields(ModelSpec) if f.name != "periods"]
+_CONFIG_KEYS = {"name", "train", *_PERIOD_KEYS, *_MODEL_KEYS}
+
+
+def _per_period(value, n, key):
     if isinstance(value, list):
         if len(value) != n:
             raise ConfigError(f"config key {key!r}: expected {n} per-period values, got {len(value)}")
-        return [read_key(v, key, cast) for v in value]
-    return [read_key(value, key, cast)] * n
+        return value
+    return [value] * n
 
 
 def spec_from_config(cfg):
@@ -336,33 +358,24 @@ def spec_from_config(cfg):
     name = cfg["name"]
     if not isinstance(name, str):
         raise ConfigError(f"config key 'name' must be a string, got {name!r}")
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; known: {sorted(_CONFIG_KEYS)}")
     pairs = parse_model_name(name)
-    n = len(pairs)
-    kind_default = name_kind_hint(name) or "erk"
-    kinds = _per_period(cfg.get("kind", kind_default), n, "kind", _canonical_kind)
-    ks = _per_period(cfg.get("k", 12), n, "k", as_integer)
-    ms = _per_period(cfg.get("m", 1), n, "m", as_integer)
-    bns = _per_period(cfg.get("bottleneck", False), n, "bottleneck", as_flag)
-    atts = _per_period(cfg.get("attentional_transition", False), n,
-                       "attentional_transition", as_flag)
-    periods = [PeriodSpec(s=s, r=r, k=k, m=m, kind=kd, bottleneck=bn, attentional_transition=att)
-               for (s, r), k, m, kd, bn, att in zip(pairs, ks, ms, kinds, bns, atts)]
-    return ModelSpec(
-        periods,
-        multiscale=read_key(cfg.get("multiscale", False), "multiscale", as_flag),
-        num_classes=read_key(cfg.get("num_classes", 10), "num_classes", as_integer),
-        input_shape=read_key(cfg.get("input_shape", (3, 32, 32)), "input_shape",
-                              lambda v: tuple(as_integer(d) for d in v)),
-        share_weights=read_key(cfg.get("share_weights", False), "share_weights", as_flag),
-    )
+    cfg = {"kind": name_kind_hint(name) or "erk", "k": 12, **cfg}
+    columns = {key: _per_period(cfg[key], len(pairs), key) for key in _PERIOD_KEYS if key in cfg}
+    periods = [PeriodSpec(s, r, **{key: values[i] for key, values in columns.items()})
+               for i, (s, r) in enumerate(pairs)]
+    return ModelSpec(periods, **{key: cfg[key] for key in _MODEL_KEYS if key in cfg})
 
 
-def _canonical_kind(value):
+def as_kind(value):
+    """A period kind; "time-channel", "timechannel" and "time" read as time_channel."""
     v = str(value).lower().replace("-", "_")
     if v in ("timechannel", "time"):
         v = "time_channel"
     if v not in KINDS:
-        raise ConfigError(f"unknown period kind {value!r}; expected one of {KINDS}")
+        raise ValueError(f"unknown period kind {value!r}; expected one of {KINDS}")
     return v
 
 

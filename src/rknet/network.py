@@ -251,17 +251,30 @@ def read_checkpoint_tensors(path):
     return tensors
 
 
+def _count(arr, key):
+    if arr.ndim != 0 or arr.dtype.kind not in "iu" or arr < 0:
+        raise ValueError(f"{key} must be a nonnegative integer scalar, got {arr!r}")
+    return int(arr)
+
+
 def load_checkpoint(path):
     """Rebuild the model recorded in a checkpoint (bitwise parameter round trip)."""
     tensors = read_checkpoint_tensors(path)
     for key in ("__config__", "__epoch__", "__seed__", "__dtype__"):
         if key not in tensors:
             raise CheckpointError(f"{path}: missing {key} entry")
-    cfg = json.loads(tensors["__config__"].tobytes().decode("utf-8"))
-    dtype = tensors["__dtype__"].tobytes().decode("utf-8")
-    spec = spec_from_config(cfg)
-    model = build_model(spec, seed=int(tensors["__seed__"]), dtype=dtype)
-    model.epoch = int(tensors["__epoch__"])
+    try:
+        seed, epoch = (_count(tensors[key], key) for key in ("__seed__", "__epoch__"))
+        dtype = tensors["__dtype__"].tobytes().decode("utf-8")
+        if dtype not in DTYPES:
+            raise ValueError(f"unknown dtype {dtype!r}")
+        cfg = json.loads(tensors["__config__"].tobytes().decode("utf-8"))
+        if not isinstance(cfg, dict):
+            raise ValueError("__config__ is not a JSON object")
+        model = build_model(spec_from_config(cfg), seed=seed, dtype=dtype)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad metadata: {exc}") from None
+    model.epoch = epoch
 
     arrays = {name: p.value.data for name, p in model.store.params.items()}
     arrays.update(model.store.buffers)

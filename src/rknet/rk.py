@@ -103,21 +103,26 @@ class OdeProblem:
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=np.float64))
 
 
+# named nonstiff test problems with known exact solutions
+_PROBLEMS = {
+    "decay": OdeProblem(lambda t, y: -y, [1.0], 0.0,
+                        exact=lambda t: np.array([math.exp(-t)]), name="decay"),
+    "logistic": OdeProblem(lambda t, y: y * (1.0 - y), [0.2], 0.0,
+                           exact=lambda t: np.array([1.0 / (1.0 + (1.0 / 0.2 - 1.0) * math.exp(-t))]),
+                           name="logistic"),
+}
+
+
 def problem_library(name):
-    """Named nonstiff test problems with known exact solutions."""
-    if name == "decay":
-        return OdeProblem(lambda t, y: -y, [1.0], 0.0,
-                          exact=lambda t: np.array([math.exp(-t)]), name="decay")
-    if name == "logistic":
-        y0 = 0.2
-        return OdeProblem(lambda t, y: y * (1.0 - y), [y0], 0.0,
-                          exact=lambda t: np.array([1.0 / (1.0 + (1.0 / y0 - 1.0) * math.exp(-t))]),
-                          name="logistic")
-    raise KeyError(f"unknown problem {name!r}; known: ['decay', 'logistic']")
+    """Return one of the built-in test problems by name."""
+    try:
+        return _PROBLEMS[name]
+    except KeyError:
+        raise KeyError(f"unknown problem {name!r}; known: {sorted(_PROBLEMS)}") from None
 
 
 def problem_names():
-    return ["decay", "logistic"]
+    return sorted(_PROBLEMS)
 
 
 @dataclass

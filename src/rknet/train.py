@@ -3,26 +3,20 @@ learning-rate schedule, and the epoch loop with deterministic rng indexing.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import network, ops
 from .atomic import atomic_write
 from .data import augment_cifar
-from .model_spec import as_flag, as_integer, as_number, read_key
+from .model_spec import as_flag, as_integer, as_number, as_tuple, read_fields
 from .rng import make_rng
 from .tensor import NonFiniteError, Tape, backward, set_debug
 
 
 class TrainingDivergedError(RuntimeError):
     """Raised when the loss turns non-finite (diagnostic names the first bad tensor)."""
-
-
-def _numbers(value):
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"expected a list of numbers, got {value!r}")
-    return tuple(as_number(v) for v in value)
 
 
 @dataclass
@@ -40,12 +34,9 @@ class TrainConfig:
     dropout_p: float = None   # policy default: 0.2 without augmentation, 0 with
     seed: int = 0
 
-    _READERS = {int: as_integer, float: as_number, bool: as_flag, tuple: _numbers}
-
     def __post_init__(self):
-        for f in fields(self):
-            if (value := getattr(self, f.name)) is not None or f.default is not None:
-                setattr(self, f.name, read_key(value, f.name, self._READERS[f.type]))
+        read_fields(self, {int: as_integer, float: as_number, bool: as_flag,
+                           tuple: as_tuple(as_number)})
         if self.epochs < 1:
             raise ValueError(f"at least 1 epoch required, got {self.epochs}")
         if self.batch_size < 1:

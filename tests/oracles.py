@@ -6,6 +6,7 @@ from central finite differences, and the integrator-equivalence weights are
 derived by direct linear algebra on the stage equations.
 """
 
+import json
 import struct
 
 import numpy as np
@@ -27,6 +28,40 @@ def forged_checkpoints():
         return (b"RKNT" + struct.pack("<IIH", 1, 1, 1) + b"w" + struct.pack("<BB", code, len(dims))
                 + b"".join(struct.pack("<I", d) for d in dims) + payload)
     return one_tensor(1, (2 ** 31, 16), bytes(8)), one_tensor(0, (65536,) * 4, b"")
+
+
+def forged_metadata(tensors):
+    """Checkpoint files, packed by hand, that each copy the ordered {name:
+    ndarray} dict of a valid checkpoint but replace one metadata entry with a
+    bad one: an unknown dtype; a config that is not UTF-8, not JSON, not a JSON
+    object, breaks a spec range or has an unknown key; a 2-element seed; and a
+    fractional or negative epoch."""
+    def text(data):
+        return np.frombuffer(data, dtype=np.uint8)
+
+    def pack(entries):
+        codes = {"float32": 0, "float64": 1, "uint8": 2, "int64": 3, "uint64": 4}
+        out = [b"RKNT", struct.pack("<II", 1, len(entries))]
+        for name, arr in entries.items():
+            out += [struct.pack("<H", len(name)), name.encode(),
+                    struct.pack("<BB", codes[str(arr.dtype)], arr.ndim),
+                    *(struct.pack("<I", d) for d in arr.shape),
+                    arr.astype(arr.dtype.newbyteorder("<")).tobytes()]
+        return b"".join(out)
+
+    cfg = json.loads(tensors["__config__"].tobytes())
+    bad = [
+        {"__dtype__": text(b"float16")},
+        {"__config__": text(b"\xff\xfe")},
+        {"__config__": text(b"{not json")},
+        {"__config__": text(b'"name"')},
+        {"__config__": text(json.dumps({**cfg, "k": [0]}).encode())},
+        {"__config__": text(json.dumps({**cfg, "bottelneck": True}).encode())},
+        {"__seed__": np.zeros(2, dtype=np.uint64)},
+        {"__epoch__": np.asarray(1.5)},
+        {"__epoch__": np.asarray(-1, dtype=np.int64)},
+    ]
+    return [pack({**tensors, **entry}) for entry in bad]
 
 
 def naive_conv2d(x, w, stride=1, pad=0):

@@ -1,15 +1,22 @@
 """Subcommand behavior and the exit-code contract (0 ok / 1 validation / 2 runtime)."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rknet import cli, network
+from rknet import model_spec as ms
 from rknet.train import TrainConfig
 
-from oracles import forged_checkpoints
+from oracles import forged_checkpoints, forged_metadata
 
 TINY = {"name": "ERKNet-1x1", "k": 4, "input_shape": [3, 8, 8], "num_classes": 4}
 SYN = ["--synthetic-train", "32", "--synthetic-test", "8"]
@@ -82,6 +89,8 @@ class TestBuild:
     ("train", {"train": {"epochs": 1, "momentum": float("nan")}}),
     ("train", {"train": {"epochs": 1, "lr0": float("inf")}}),
     ("train", {"train": {"epochs": 1, "lr_drop_factor": 0}}),
+    ("build", {"bottelneck": True}),
+    ("train", {"train": {"epochs": 1, "augment": True}}),
 ])
 def test_malformed_config_exits_1_with_an_error_line(tmp_path, capsys, sub, overrides):
     argv = [sub, "--config", write_config(tmp_path, **overrides)]
@@ -113,6 +122,61 @@ def test_every_train_setting_is_checked_by_train_config(tmp_path, capsys, name):
     argv = ["train", "--config", write_config(tmp_path, train=section), "--data", "synthetic",
             *SYN, "--out", str(out)]
     assert_rejected(argv, capsys, out)
+
+
+SPEC_FIELDS = [(cls, f.name) for cls in (ms.PeriodSpec, ms.ModelSpec)
+               for f in dataclasses.fields(cls)]
+CONFIG_KEYS = set(ms.spec_to_config(ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=4)])))
+
+
+@pytest.mark.parametrize("cls,name", SPEC_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in SPEC_FIELDS])
+def test_every_spec_field_is_checked_by_its_dataclass(tmp_path, capsys, cls, name):
+    # the dataclasses read their own fields, so a library call, a config file
+    # and a checkpoint's __config__ take one path; s, r and periods are set by
+    # the model name, every other field by the config key of the same name
+    valid = {"periods": [ms.PeriodSpec(s=1, r=1, k=4)]} if cls is ms.ModelSpec else \
+        {"s": 1, "r": 1, "k": 4}
+    with pytest.raises(ms.ConfigError, match=name):
+        cls(**{**valid, name: "1"})
+    if name in CONFIG_KEYS:
+        assert_rejected(["build", "--config", write_config(tmp_path, **{name: "1"})], capsys,
+                        tmp_path / "run")
+
+
+FUZZ_CONFIG = {"name": "ERKNet-1x1", "kind": "erk", "k": 4, "m": 1, "bottleneck": False,
+               "attentional_transition": False, "multiscale": False, "num_classes": 4,
+               "input_shape": [3, 8, 8], "share_weights": False,
+               "train": {"epochs": 1, "batch_size": 16, "lr0": 0.1, "momentum": 0.9,
+                         "weight_decay": 1e-4, "lr_drop_points": [0.5, 0.75],
+                         "lr_drop_factor": 10.0, "augment": False, "dropout_p": None, "seed": 0}}
+FUZZ_SLOTS = [(None, key) for key in FUZZ_CONFIG] + [("train", key) for key in FUZZ_CONFIG["train"]]
+# no large numbers, so no mutation sizes a big allocation
+FUZZ_VALUES = ["", "1", "irk", "false", True, False, None, 0, -1, 2.5, float("nan"),
+               float("inf"), [], [1], [True, "x"]]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZ_SLOTS), st.sampled_from(FUZZ_VALUES))
+def test_config_fuzz_exits_0_or_1_with_an_error_line(slot, value):
+    section, key = slot
+    cfg = json.loads(json.dumps(FUZZ_CONFIG))
+    (cfg[section] if section else cfg)[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "model.json"), os.path.join(tmp, "run")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        for argv in (["build", "--config", path],
+                     ["train", "--config", path, "--data", "synthetic", "--synthetic-train", "4",
+                      "--synthetic-test", "1", "--out", out]):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            assert code in (0, 1), (argv[0], stderr.getvalue())
+            if code == 1:
+                # build lists violated construction rules; every other failure is an error line
+                rules = argv[0] == "build" and stdout.getvalue().startswith("[")
+                assert rules or stderr.getvalue().startswith("error: ")
+                assert not os.path.exists(out)
 
 
 class TestConvert:
@@ -225,7 +289,8 @@ class TestTrainEvalInspect:
         blob = bytearray((out / "final.ckpt").read_bytes())
         blob[:4] = b"ZZZZ"
         bad = tmp_path / "bad.ckpt"
-        for data in [bytes(blob), *forged_checkpoints()]:
+        forged = forged_metadata(network.read_checkpoint_tensors(out / "final.ckpt"))
+        for data in [bytes(blob), *forged_checkpoints(), *forged]:
             bad.write_bytes(data)
             assert cli.main(["eval", "--checkpoint", str(bad), "--data", "synthetic", *SYN]) == 2
 

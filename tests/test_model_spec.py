@@ -117,6 +117,26 @@ class TestValidateSpec:
         with pytest.raises(ValueError):
             ms.PeriodSpec(s=1, r=1, k=-3)
 
+    @pytest.mark.parametrize("cls,kwargs", [
+        (ms.ModelSpec, {"input_shape": (3, 8.7, 8)}),
+        (ms.ModelSpec, {"input_shape": "388"}),
+        (ms.ModelSpec, {"multiscale": "false"}),
+        (ms.ModelSpec, {"num_classes": 2.5}),
+        (ms.PeriodSpec, {"bottleneck": "false"}),
+        (ms.PeriodSpec, {"k": True}),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+    def test_wrong_types_rejected_at_construction(self, cls, kwargs):
+        valid = {"periods": [ms.PeriodSpec(s=1, r=1, k=4)]} if cls is ms.ModelSpec else \
+            {"s": 1, "r": 1, "k": 4}
+        with pytest.raises(ms.ConfigError):
+            cls(**{**valid, **kwargs})
+
+    def test_integral_and_numpy_numbers_read_as_int(self):
+        p = ms.PeriodSpec(s=np.int64(2), r=np.uint8(1), k=4.0, kind="Time-Channel")
+        assert (p.s, p.r, p.k, p.kind) == (2, 1, 4, "time_channel")
+        assert all(type(v) is int for v in (p.s, p.r, p.k))
+        assert ms.ModelSpec([p], input_shape=[3, 8.0, np.int32(8)]).input_shape == (3, 8, 8)
+
 
 class TestConvertDensenet:
     def test_depth12_k12_channels24(self):
