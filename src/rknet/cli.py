@@ -51,11 +51,6 @@ def _check_data_shape(spec, dataset):
 
 def cmd_build(args):
     spec = _load_spec(args.config)
-    violations = ms.validate_spec(spec)
-    if violations:
-        for v in violations:
-            print(str(v))
-        return 1
     total = ms.count_parameters(spec)
     if args.print_summary:
         per_period = ms.period_parameter_counts(spec)
@@ -144,11 +139,6 @@ def cmd_convert(args):
                                    _int_list(args.channels, "--channels"))
     else:
         spec = ms.convert_cliquenet(_int_list(args.layers, "--layers"), args.growth)
-    violations = ms.validate_spec(spec)
-    if violations:
-        for v in violations:
-            print(str(v), file=sys.stderr)
-        return 1
     print(ms.render_model_name(spec))
     doc = json.dumps(ms.spec_to_config(spec), indent=2, sort_keys=True)
     if args.out:
@@ -189,9 +179,8 @@ def cmd_inspect_steps(args):
     model = network.load_checkpoint(args.checkpoint)
     rows = model.time_channel_ratios()
     if not rows:
-        print("checkpoint has no time-channel periods; step-size ratios exist "
-              "only for time-channel step blocks", file=sys.stderr)
-        return 1
+        _fail("checkpoint has no time-channel periods; step-size ratios exist "
+              "only for time-channel step blocks")
     print("period,step,ratio")
     for p_idx, s_idx, ratio in rows:
         print(f"{p_idx + 1},{s_idx + 1},{ratio:.6g}")

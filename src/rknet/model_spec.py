@@ -1,12 +1,19 @@
-"""Architecture descriptions: the ``RKNet-sxr_...`` naming scheme, validation
-against the dense/clique construction rules, conversions from DenseNet and
-CliqueNet layouts, and analytical parameter counting.
+"""Architecture descriptions: the ``RKNet-sxr_...`` naming scheme, the
+dense/clique construction rules, conversions from DenseNet and CliqueNet
+layouts, and analytical parameter counting.
 
 A model is a sequence of periods.  Each period runs ``r`` time-steps of one
 method kind (``erk``, ``irk``, or ``time_channel``) at a fixed state width:
 ``m * k`` channels for erk/time_channel periods and ``k`` channels for irk
 periods.  Extras (growth rate, bottleneck, attention, multiscale) live in the
 config file, not the name.
+
+A ``ModelSpec`` obeys the construction rules from the moment it exists: after
+reading its fields and checking their ranges, its constructor raises one
+``InvalidSpecError`` that lists every broken rule (IRK Rules 1 and 3, the
+one-stage time-channel form, the dimension principle).  ``convert_densenet``
+raises the same error for ERK Rules 1 and 3, which constrain the DenseNet
+layout rather than the spec.
 """
 
 import json
@@ -27,16 +34,16 @@ class ModelNameError(ValueError):
     """Malformed or out-of-range architecture name."""
 
 
-class ConversionError(ValueError):
-    """A DenseNet/CliqueNet layout violates one of the construction rules."""
-
-    def __init__(self, rule, message):
-        super().__init__(f"[{rule}] {message}")
-        self.rule = rule
-
-
 class ConfigError(ValueError):
     """Malformed config document or training setting."""
+
+
+class InvalidSpecError(ConfigError):
+    """An architecture that breaks construction rules; ``violations`` lists every one."""
+
+    def __init__(self, violations):
+        super().__init__("invalid model spec: " + "; ".join(map(str, violations)))
+        self.violations = violations
 
 
 @dataclass
@@ -102,6 +109,8 @@ class ModelSpec:
                              f"got {self.input_shape}")
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be at least 1, got {self.num_classes}")
+        if violations := _rule_violations(self):
+            raise InvalidSpecError(violations)
 
 
 def parse_model_name(name):
@@ -141,8 +150,8 @@ def render_model_name(spec):
     return "RKNet-" + "_".join(f"{s}x{r}" for s, r in pairs)
 
 
-def validate_spec(spec):
-    """Check a ModelSpec against the construction rules; returns all violations."""
+def _rule_violations(spec):
+    """Every construction rule the fields of spec break, in period order."""
     violations = []
     for idx, p in enumerate(spec.periods):
         where = f"period {idx + 1}"
@@ -195,14 +204,14 @@ def convert_densenet(block_depths, growth_rate, input_channels_per_block,
     for idx, (depth, ch) in enumerate(zip(block_depths, input_channels_per_block)):
         where = f"block {idx + 1}"
         if ch <= 0 or ch % k:
-            raise ConversionError(
+            raise InvalidSpecError([Violation(
                 "ERK Rule 1",
-                f"{where}: input width {ch} is not of the form m*k for growth rate {k}")
+                f"{where}: input width {ch} is not of the form m*k for growth rate {k}")])
         m = ch // k
         if depth <= 0 or depth % m:
-            raise ConversionError(
+            raise InvalidSpecError([Violation(
                 "ERK Rule 3",
-                f"{where}: depth {depth} is not m*s growths for m={m}")
+                f"{where}: depth {depth} is not m*s growths for m={m}")])
         periods.append(PeriodSpec(s=depth // m, r=1, k=k, m=m, kind="erk"))
     return ModelSpec(periods, num_classes=num_classes, input_shape=input_shape)
 
@@ -210,14 +219,7 @@ def convert_densenet(block_depths, growth_rate, input_channels_per_block,
 def convert_cliquenet(stage1_layers, growth_rate, num_classes=10, input_shape=(3, 32, 32)):
     """Reinterpret a CliqueNet layout as irk periods (r=1 each)."""
     k = int(growth_rate)
-    periods = []
-    for idx, layers in enumerate(stage1_layers):
-        if layers <= 1:
-            raise ConversionError(
-                "IRK Rule 3",
-                f"block {idx + 1}: needs more than 1 growth for alternate "
-                f"updating, got {layers}")
-        periods.append(PeriodSpec(s=layers, r=1, k=k, m=1, kind="irk"))
+    periods = [PeriodSpec(s=layers, r=1, k=k, m=1, kind="irk") for layers in stage1_layers]
     return ModelSpec(periods, num_classes=num_classes, input_shape=input_shape)
 
 

@@ -13,15 +13,9 @@ from . import ops
 from .atomic import atomic_write
 from .blocks import (BatchNorm, ErkStepBlock, IrkStepBlock, ParamStore, SubnetConfig,
                      TimeChannelStepBlock, TransitionLayer, he_normal, xavier_uniform)
-from .model_spec import spec_from_config, spec_to_config, validate_spec
+from .model_spec import count_parameters, spec_from_config, spec_to_config
 from .rng import make_rng
 from .tensor import DTYPES, ShapeError, Tensor, op_scope
-
-
-class InvalidSpecError(ValueError):
-    def __init__(self, violations):
-        super().__init__("invalid model spec:\n" + "\n".join(str(v) for v in violations))
-        self.violations = violations
 
 
 class CheckpointError(RuntimeError):
@@ -72,9 +66,6 @@ def build_model(spec, seed=0, dtype="float32"):
 
     Conv weights use He-normal init, fully connected weights Xavier-uniform.
     """
-    violations = validate_spec(spec)
-    if violations:
-        raise InvalidSpecError(violations)
     rng = make_rng(seed, "init")
     store = ParamStore(dtype)
 
@@ -238,14 +229,24 @@ def read_checkpoint_tensors(path):
         tensors = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name = _read_exact(fh, nlen, "name").decode("utf-8")
+            offset = fh.tell()
+            try:
+                name = _read_exact(fh, nlen, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: tensor name at byte {offset} "
+                                      f"is not UTF-8") from None
             code, rank = struct.unpack("<BB", _read_exact(fh, 2, "dtype/rank"))
             if code not in _CODE_DTYPES:
                 raise CheckpointError(f"{path}: unknown dtype code {code} for tensor {name!r}")
             shape = tuple(struct.unpack("<I", _read_exact(fh, 4, "dim"))[0] for _ in range(rank))
             dt = _CODE_DTYPES[code].newbyteorder("<")
             raw = _read_exact(fh, math.prod(shape) * dt.itemsize, f"data of {name!r}")
-            tensors[name] = np.frombuffer(raw, dtype=dt).reshape(shape).astype(_CODE_DTYPES[code])
+            try:
+                # numpy caps the rank at 64, and the size even of an empty array
+                arr = np.frombuffer(raw, dtype=dt).reshape(shape)
+            except ValueError as exc:
+                raise CheckpointError(f"{path}: tensor {name!r} of rank {rank}: {exc}") from None
+            tensors[name] = arr.astype(_CODE_DTYPES[code])
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after {count} tensors")
     return tensors
@@ -271,7 +272,13 @@ def load_checkpoint(path):
         cfg = json.loads(tensors["__config__"].tobytes().decode("utf-8"))
         if not isinstance(cfg, dict):
             raise ValueError("__config__ is not a JSON object")
-        model = build_model(spec_from_config(cfg), seed=seed, dtype=dtype)
+        spec = spec_from_config(cfg)
+        # checked before building, so a forged config cannot size an allocation
+        values = sum(arr.size for name, arr in tensors.items() if not name.startswith("__"))
+        if (wanted := count_parameters(spec)) > values:
+            raise CheckpointError(f"{path}: __config__ describes {wanted} parameters, "
+                                  f"the file holds {values} values")
+        model = build_model(spec, seed=seed, dtype=dtype)
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad metadata: {exc}") from None
     model.epoch = epoch

@@ -20,22 +20,35 @@ def mean_all(t):
     return ops.scale(ops.sum_all(t), 1.0 / t.size)
 
 
+def _one_tensor(code, dims, payload, name=b"w"):
+    return (b"RKNT" + struct.pack("<IIH", 1, 1, len(name)) + name
+            + struct.pack("<BB", code, len(dims))
+            + b"".join(struct.pack("<I", d) for d in dims) + payload)
+
+
 def forged_checkpoints():
     """Checkpoint files, written by hand, whose one tensor header declares far
     more data than follows: a 2^31 x 16 float64 tensor (256 GiB), and a
     65536^4 float32 tensor whose element count overflows int64 to 0."""
-    def one_tensor(code, dims, payload):
-        return (b"RKNT" + struct.pack("<IIH", 1, 1, 1) + b"w" + struct.pack("<BB", code, len(dims))
-                + b"".join(struct.pack("<I", d) for d in dims) + payload)
-    return one_tensor(1, (2 ** 31, 16), bytes(8)), one_tensor(0, (65536,) * 4, b"")
+    return _one_tensor(1, (2 ** 31, 16), bytes(8)), _one_tensor(0, (65536,) * 4, b"")
+
+
+def forged_headers():
+    """Checkpoint files, written by hand, whose one tensor header UTF-8 or numpy
+    rejects: a name that is not UTF-8 (at byte 14), a rank of 65 (numpy allows
+    64), and an empty tensor whose other dimensions exceed numpy's size limit."""
+    return (_one_tensor(0, (1,), bytes(4), name=b"\xff\xfe"),
+            _one_tensor(0, (1,) * 65, bytes(4)),
+            _one_tensor(0, (0,) + (2 ** 32 - 1,) * 3, b""))
 
 
 def forged_metadata(tensors):
     """Checkpoint files, packed by hand, that each copy the ordered {name:
     ndarray} dict of a valid checkpoint but replace one metadata entry with a
     bad one: an unknown dtype; a config that is not UTF-8, not JSON, not a JSON
-    object, breaks a spec range or has an unknown key; a 2-element seed; and a
-    fractional or negative epoch."""
+    object, breaks a spec range, has an unknown key or describes far more
+    parameters than the file holds (k=100000, or 99999999 time-steps); a
+    2-element seed; and a fractional or negative epoch."""
     def text(data):
         return np.frombuffer(data, dtype=np.uint8)
 
@@ -57,6 +70,8 @@ def forged_metadata(tensors):
         {"__config__": text(b'"name"')},
         {"__config__": text(json.dumps({**cfg, "k": [0]}).encode())},
         {"__config__": text(json.dumps({**cfg, "bottelneck": True}).encode())},
+        {"__config__": text(json.dumps({**cfg, "k": 100000}).encode())},
+        {"__config__": text(json.dumps({**cfg, "name": "RKNet-1x99999999"}).encode())},
         {"__seed__": np.zeros(2, dtype=np.uint64)},
         {"__epoch__": np.asarray(1.5)},
         {"__epoch__": np.asarray(-1, dtype=np.int64)},

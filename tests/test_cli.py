@@ -16,7 +16,7 @@ from rknet import cli, network
 from rknet import model_spec as ms
 from rknet.train import TrainConfig
 
-from oracles import forged_checkpoints, forged_metadata
+from oracles import forged_checkpoints, forged_headers, forged_metadata
 
 TINY = {"name": "ERKNet-1x1", "k": 4, "input_shape": [3, 8, 8], "num_classes": 4}
 SYN = ["--synthetic-train", "32", "--synthetic-test", "8"]
@@ -55,7 +55,9 @@ class TestBuild:
     def test_invalid_irk_config_exits_1_citing_rule(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"name": "IRKNet-1x1"})
         assert cli.main(["build", "--config", cfg]) == 1
-        assert "Rule 3" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "[IRK Rule 3]" in captured.err
+        assert captured.out == ""
 
     def test_summary_off_prints_single_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -173,10 +175,45 @@ def test_config_fuzz_exits_0_or_1_with_an_error_line(slot, value):
                 code = cli.main(argv)
             assert code in (0, 1), (argv[0], stderr.getvalue())
             if code == 1:
-                # build lists violated construction rules; every other failure is an error line
-                rules = argv[0] == "build" and stdout.getvalue().startswith("[")
-                assert rules or stderr.getvalue().startswith("error: ")
+                assert stderr.getvalue().startswith("error: ")
                 assert not os.path.exists(out)
+
+
+FUZZ_MODEL = {"name": "RKNet-1x1", "k": 1, "input_shape": [1, 2, 2], "num_classes": 2}
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "valid.ckpt"
+    network.save_checkpoint(network.build_model(ms.spec_from_config(FUZZ_MODEL)), path)
+    return path.read_bytes()
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_checkpoint_fuzz_loads_or_exits_2(fuzz_checkpoint, data):
+    # a flipped, truncated or lengthened checkpoint loads, or fails as a
+    # CheckpointError; any other exception fails the test
+    raw = fuzz_checkpoint
+    at = data.draw(st.integers(0, len(raw) - 1), "at")
+    how = data.draw(st.sampled_from(["flip", "truncate", "insert"]), "how")
+    if how == "flip":
+        blob = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255), "mask")]) + raw[at + 1:]
+    elif how == "truncate":
+        blob = raw[:at]
+    else:
+        blob = raw[:at] + data.draw(st.binary(min_size=1, max_size=4), "bytes") + raw[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzzed.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            network.load_checkpoint(path)
+        except network.CheckpointError:
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                assert cli.main(["eval", "--checkpoint", path, "--data", "synthetic"]) == 2
+            assert stderr.getvalue().startswith("error: ")
 
 
 class TestConvert:
@@ -203,10 +240,14 @@ class TestConvert:
     def test_rule_violations_exit_1_naming_rule(self, capsys):
         assert cli.main(["convert", "--from", "densenet", "--layers", "12",
                          "--growth", "12", "--channels", "25"]) == 1
-        assert "Rule 1" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "[ERK Rule 1]" in captured.err
+        assert captured.out == ""
         assert cli.main(["convert", "--from", "cliquenet", "--layers", "1",
                          "--growth", "36"]) == 1
-        assert "Rule 3" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "[IRK Rule 3]" in captured.err
+        assert captured.out == ""
 
 
 class TestVerifyOrder:
@@ -290,7 +331,7 @@ class TestTrainEvalInspect:
         blob[:4] = b"ZZZZ"
         bad = tmp_path / "bad.ckpt"
         forged = forged_metadata(network.read_checkpoint_tensors(out / "final.ckpt"))
-        for data in [bytes(blob), *forged_checkpoints(), *forged]:
+        for data in [bytes(blob), *forged_checkpoints(), *forged_headers(), *forged]:
             bad.write_bytes(data)
             assert cli.main(["eval", "--checkpoint", str(bad), "--data", "synthetic", *SYN]) == 2
 
@@ -311,4 +352,5 @@ class TestTrainEvalInspect:
         capsys.readouterr()
         code = cli.main(["inspect-steps", "--checkpoint", str(out / "final.ckpt")])
         assert code == 1
-        assert "no time-channel" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no time-channel" in err

@@ -60,56 +60,65 @@ class TestRenderModelName:
         assert ms.render_model_name(ms.parse_model_name(name)) == name
 
 
+def rules_broken(build):
+    """Rule names of the InvalidSpecError that build() raises, in order."""
+    with pytest.raises(ms.InvalidSpecError) as err:
+        build()
+    return [v.rule for v in err.value.violations]
+
+
 class TestValidateSpec:
+    """The field, range and construction-rule checks a ModelSpec makes when it is made."""
+
     def test_irk_single_stage_cites_rule_3(self):
-        spec = ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=8, kind="irk")],
-                            input_shape=(3, 16, 16))
-        violations = ms.validate_spec(spec)
-        assert any(v.rule == "IRK Rule 3" for v in violations)
+        assert rules_broken(lambda: ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=8, kind="irk")],
+                                                 input_shape=(3, 16, 16))) == ["IRK Rule 3"]
 
     def test_erk_channel_arithmetic_ok(self):
         spec = ms.ModelSpec([ms.PeriodSpec(s=2, r=1, k=12, m=2)], input_shape=(3, 32, 32))
         assert spec.periods[0].channels == 24
-        assert ms.validate_spec(spec) == []
 
     def test_six_periods_on_32_input_underflow(self):
-        spec = ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=4) for _ in range(6)],
-                            input_shape=(3, 32, 32))
-        violations = ms.validate_spec(spec)
-        assert any("underflow" in v.message for v in violations)
+        with pytest.raises(ms.InvalidSpecError, match="underflow") as err:
+            ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=4) for _ in range(6)],
+                         input_shape=(3, 32, 32))
+        assert [v.rule for v in err.value.violations] == ["dimension principle"]
 
     def test_five_periods_on_32_input_ok(self):
-        spec = ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=4) for _ in range(5)],
-                            input_shape=(3, 32, 32))
-        assert ms.validate_spec(spec) == []
+        ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=4) for _ in range(5)], input_shape=(3, 32, 32))
 
     def test_odd_spatial_dims_at_transition(self):
         # 18 -> 9 is fine, but 9x9 cannot be halved again
-        spec = ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=4) for _ in range(3)],
-                            input_shape=(3, 18, 18))
-        violations = ms.validate_spec(spec)
-        assert ms.validate_spec(ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=4),
-                                              ms.PeriodSpec(s=1, r=1, k=4)],
-                                             input_shape=(3, 18, 18))) == []
-        assert any("even" in v.message for v in violations)
+        with pytest.raises(ms.InvalidSpecError, match="even") as err:
+            ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=4) for _ in range(3)],
+                         input_shape=(3, 18, 18))
+        assert [v.rule for v in err.value.violations] == ["dimension principle"]
+        ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=4), ms.PeriodSpec(s=1, r=1, k=4)],
+                     input_shape=(3, 18, 18))
 
     def test_time_channel_requires_single_stage(self):
-        spec = ms.ModelSpec([ms.PeriodSpec(s=2, r=1, k=4, kind="time_channel")],
-                            input_shape=(3, 16, 16))
-        assert len(ms.validate_spec(spec)) == 1
+        assert rules_broken(lambda: ms.ModelSpec(
+            [ms.PeriodSpec(s=2, r=1, k=4, kind="time_channel")],
+            input_shape=(3, 16, 16))) == ["time-channel construction"]
 
     def test_every_violation_cites_exactly_one_rule(self):
-        specs = [
-            ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=8, kind="irk")], input_shape=(3, 16, 16)),
-            ms.ModelSpec([ms.PeriodSpec(s=1, r=1, k=4) for _ in range(6)],
-                         input_shape=(3, 32, 32)),
-            ms.ModelSpec([ms.PeriodSpec(s=3, r=1, k=4, m=2, kind="irk")],
-                         input_shape=(3, 16, 16)),
+        # one error lists every broken rule, each violation citing one
+        cases = [
+            ([ms.PeriodSpec(s=1, r=1, k=8, kind="irk")], (3, 16, 16), ["IRK Rule 3"]),
+            ([ms.PeriodSpec(s=1, r=1, k=4)] * 6, (3, 32, 32), ["dimension principle"]),
+            ([ms.PeriodSpec(s=3, r=1, k=4, m=2, kind="irk")], (3, 16, 16), ["IRK Rule 1"]),
+            ([ms.PeriodSpec(s=1, r=1, k=4, m=2, kind="irk"),
+              ms.PeriodSpec(s=2, r=1, k=4, kind="time_channel")], (3, 2, 2),
+             ["IRK Rule 3", "IRK Rule 1", "time-channel construction", "dimension principle"]),
         ]
-        for spec in specs:
-            for v in ms.validate_spec(spec):
+        for periods, input_shape, rules in cases:
+            with pytest.raises(ms.InvalidSpecError) as err:
+                ms.ModelSpec(periods, input_shape=input_shape)
+            assert [v.rule for v in err.value.violations] == rules
+            for v in err.value.violations:
                 assert v.rule and "," not in v.rule
                 assert str(v).startswith(f"[{v.rule}]")
+                assert str(v) in str(err.value)
 
     def test_non_positive_fields_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -132,8 +141,8 @@ class TestValidateSpec:
             cls(**{**valid, **kwargs})
 
     def test_integral_and_numpy_numbers_read_as_int(self):
-        p = ms.PeriodSpec(s=np.int64(2), r=np.uint8(1), k=4.0, kind="Time-Channel")
-        assert (p.s, p.r, p.k, p.kind) == (2, 1, 4, "time_channel")
+        p = ms.PeriodSpec(s=np.int64(1), r=np.uint8(2), k=4.0, kind="Time-Channel")
+        assert (p.s, p.r, p.k, p.kind) == (1, 2, 4, "time_channel")
         assert all(type(v) is int for v in (p.s, p.r, p.k))
         assert ms.ModelSpec([p], input_shape=[3, 8.0, np.int32(8)]).input_shape == (3, 8, 8)
 
@@ -145,14 +154,10 @@ class TestConvertDensenet:
         assert (p.m, p.s, p.r, p.kind) == (2, 6, 1, "erk")
 
     def test_channels_not_multiple_of_k_cites_rule_1(self):
-        with pytest.raises(ms.ConversionError) as err:
-            ms.convert_densenet([12], 12, [25])
-        assert err.value.rule == "ERK Rule 1"
+        assert rules_broken(lambda: ms.convert_densenet([12], 12, [25])) == ["ERK Rule 1"]
 
     def test_depth_not_multiple_of_m_cites_rule_3(self):
-        with pytest.raises(ms.ConversionError) as err:
-            ms.convert_densenet([7], 12, [24])
-        assert err.value.rule == "ERK Rule 3"
+        assert rules_broken(lambda: ms.convert_densenet([7], 12, [24])) == ["ERK Rule 3"]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="depths"):
@@ -165,7 +170,7 @@ class TestConvertDensenet:
         depths = [m * s for m, s in blocks]
         channels = [m * k for m, s in blocks]
         spec = ms.convert_densenet(depths, k, channels, input_shape=(3, 32, 32))
-        assert ms.validate_spec(spec) == []
+        assert [p.m * p.s for p in spec.periods] == depths
 
 
 class TestConvertCliquenet:
@@ -175,14 +180,11 @@ class TestConvertCliquenet:
         assert all(p.kind == "irk" and p.k == 80 and p.channels == 80 for p in spec.periods)
 
     def test_single_growth_block_cites_rule_3(self):
-        with pytest.raises(ms.ConversionError) as err:
-            ms.convert_cliquenet([1], 36)
-        assert err.value.rule == "IRK Rule 3"
+        assert rules_broken(lambda: ms.convert_cliquenet([1], 36)) == ["IRK Rule 3"]
 
     def test_table1_shape(self):
         spec = ms.convert_cliquenet([3, 3, 3], 36)
         assert ms.render_model_name(spec) == "RKNet-3x1_3x1_3x1"
-        assert ms.validate_spec(spec) == []
 
 
 class TestCountParameters:

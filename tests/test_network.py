@@ -8,7 +8,7 @@ from rknet import network, ops
 from rknet.rng import make_rng
 from rknet.tensor import ShapeError, Tape, Tensor, backward
 
-from oracles import fd_gradcheck, forged_checkpoints
+from oracles import fd_gradcheck, forged_checkpoints, forged_headers
 
 TINY = {"name": "IRKNet-2x1_2x1", "k": 6, "input_shape": [3, 16, 16], "num_classes": 4}
 
@@ -45,8 +45,9 @@ class TestBuildModel:
 
     def test_invalid_spec_rejected(self):
         cfg = {"name": "IRKNet-1x1", "k": 6, "input_shape": [3, 16, 16]}
-        with pytest.raises(network.InvalidSpecError, match="IRK Rule 3"):
+        with pytest.raises(ms.InvalidSpecError) as err:
             build(cfg)
+        assert [v.rule for v in err.value.violations] == ["IRK Rule 3"]
 
 
 class TestForward:
@@ -230,6 +231,14 @@ class TestCheckpoints:
         for blob in [raw[:len(raw) // 2], *forged_checkpoints()]:
             path.write_bytes(blob)
             with pytest.raises(network.CheckpointError, match="truncated"):
+                network.load_checkpoint(path)
+
+    def test_header_rejected_by_utf8_or_numpy_names_its_place(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        for blob, place in zip(forged_headers(), ["name at byte 14", "'w' of rank 65",
+                                                  "'w' of rank 4"]):
+            path.write_bytes(blob)
+            with pytest.raises(network.CheckpointError, match=place):
                 network.load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
