@@ -200,6 +200,8 @@ def convert_densenet(block_depths, growth_rate, input_channels_per_block,
             f"convert_densenet: {len(block_depths)} block depths but "
             f"{len(input_channels_per_block)} input widths")
     k = int(growth_rate)
+    if k < 1:
+        raise ConfigError(f"convert_densenet: growth_rate must be at least 1, got {growth_rate}")
     periods = []
     for idx, (depth, ch) in enumerate(zip(block_depths, input_channels_per_block)):
         where = f"block {idx + 1}"
@@ -236,19 +238,29 @@ def _growth_params(in_ch, k, bottleneck, bw, time_plane=False):
     return 2 * in_ch + 9 * conv_in * k
 
 
+def _growth_run(in_ch, k, n, bottleneck, bw, time_plane=False):
+    """Parameters of n growth units whose input widens by k from in_ch.
+
+    ``_growth_params`` is affine in its input width, so unit t (from 0) counts
+    the first unit's parameters plus t times the difference between the first
+    two units'; the sum over t is closed-form.
+    """
+    first = _growth_params(in_ch, k, bottleneck, bw, time_plane)
+    step = _growth_params(in_ch + k, k, bottleneck, bw, time_plane) - first
+    return n * first + step * (n * (n - 1) // 2)
+
+
 def _step_params(p):
     k, s, m = p.k, p.s, p.m
     bw = p.bottleneck_width
     if p.kind == "erk":
-        return sum(_growth_params(p.channels + (t - 1) * k, k, p.bottleneck, bw)
-                   for t in range(1, m * s + 1))
+        return _growth_run(p.channels, k, m * s, p.bottleneck, bw)
     if p.kind == "irk":
-        stage1 = sum(_growth_params(j * k, k, p.bottleneck, bw) for j in range(1, s + 1))
+        stage1 = _growth_run(k, k, s, p.bottleneck, bw)
         stage2 = s * _growth_params((s - 1) * k, k, p.bottleneck, bw)
         return stage1 + stage2
     # time_channel: m growths whose convs also see the time plane
-    return sum(_growth_params(p.channels + (t - 1) * k, k, p.bottleneck, bw, time_plane=True)
-               for t in range(1, m + 1))
+    return _growth_run(p.channels, k, m, p.bottleneck, bw, time_plane=True)
 
 
 def _transition_params(in_ch, out_ch, attentional):
@@ -401,7 +413,7 @@ def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path}: expected a JSON object")

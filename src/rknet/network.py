@@ -279,7 +279,7 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: __config__ describes {wanted} parameters, "
                                   f"the file holds {values} values")
         model = build_model(spec, seed=seed, dtype=dtype)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: too deeply nested JSON
         raise CheckpointError(f"{path}: bad metadata: {exc}") from None
     model.epoch = epoch
 

@@ -5,9 +5,11 @@ padded channel-major copy of the input and shift-adds the partial products
 (see ``conv2d``); the naive sliding-window version lives in the test suite as
 an independent oracle.  The growth unit's BN -> ReLU -> conv chain is written
 to touch each activation as few times as numpy allows: batchnorm allocates
-its ``xhat`` and output arrays once each, updates them in place and takes
-channel sums with ``einsum``, and relu keeps no mask.  Every op records
-itself on the active tape (if any) and is pure given its inputs and rng.
+only its output, normalizes into it in place, takes channel sums with
+``einsum`` and rebuilds the normalized input in its backward from the input
+the tape holds; relu keeps no mask.  Backward closures capture arrays and
+dtypes, never the input tensors.  Every op records itself on the active tape
+(if any) and is pure given its inputs and rng.
 """
 
 import numpy as np
@@ -78,6 +80,7 @@ def conv2d(x, w, stride=1, pad=0):
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
     tail = offsets[-1]
     dtype = np.result_type(x.data, w.data)
+    xdtype, wdtype = x.data.dtype, w.data.dtype
     xf = np.zeros((c, m + tail), dtype=dtype)
     xf[:, :m].reshape(c, n, hp, wp)[:, :, pad:pad + h, pad:pad + wd] = x.data.transpose(1, 0, 2, 3)
     taps = w.data.astype(dtype, copy=False).transpose(2, 3, 0, 1).reshape(kk * o, c)
@@ -121,8 +124,7 @@ def conv2d(x, w, stride=1, pad=0):
         gpad = scratch = shifted = None  # freed, so the copy into gx peaks at gx + gxf + gw
         gx = gxf.reshape(c, n, hp, wp)[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
         gw = gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
-        return (np.ascontiguousarray(gx, dtype=x.data.dtype),
-                np.ascontiguousarray(gw, dtype=w.data.dtype))
+        return np.ascontiguousarray(gx, dtype=xdtype), np.ascontiguousarray(gw, dtype=wdtype)
 
     return _emit((x, w), np.ascontiguousarray(out), backward_fn, "conv2d")
 
@@ -144,11 +146,14 @@ class BatchNormState:
 def batchnorm2d(x, gamma, beta, stats, mode):
     """Per-channel normalization over (N, H, W); train mode updates stats.
 
-    ``xhat`` and ``out`` are allocated once each and updated in place, and
-    the per-channel sums (of x, of squares, and of products in the backward)
+    One x-sized buffer is allocated: x is centred into it, then scaled by
+    ``inv``, by gamma and shifted by beta in place, and it becomes the output.
+    The per-channel sums (of x, of squares, and of products in the backward)
     are taken by ``einsum`` without an x-sized temporary.  The backward is
     ``gx = a*gout + b*xhat + c`` with per-channel a, b and c (b = c = 0 in
-    eval mode, where the statistics do not depend on x).
+    eval mode, where the statistics do not depend on x).  It rebuilds
+    ``xhat = (x - mu) * inv`` from x, which the tape holds anyway, with the
+    same operations as the forward, so the tape keeps no normalized copy.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm2d: mode must be 'train' or 'eval', got {mode!r}")
@@ -158,35 +163,41 @@ def batchnorm2d(x, gamma, beta, stats, mode):
             f"batchnorm2d channel mismatch: input has {c} channels, "
             f"gamma has {gamma.size}, beta has {beta.size}")
     per_channel = (1, c, 1, 1)
+    xd = x.data
     g = gamma.data.reshape(per_channel)
     b = beta.data.reshape(per_channel)
     m = x.shape[0] * x.shape[2] * x.shape[3]
     train = mode == "train"
+    # eval copies the running mean: a later train-mode call updates it in
+    # place before this call's backward runs
+    mu = np.einsum("nchw->c", xd) / m if train else stats.mean.copy()
+    centre = mu.reshape(per_channel)
+    out = xd - centre
     if train:
-        mu = np.einsum("nchw->c", x.data) / m
-        xhat = x.data - mu.reshape(per_channel)
-        var = np.einsum("nchw,nchw->c", xhat, xhat) / m
+        var = np.einsum("nchw,nchw->c", out, out) / m
         stats.mean += stats.momentum * (mu - stats.mean)
         stats.var += stats.momentum * (var - stats.var)
     else:
-        xhat = x.data - stats.mean.reshape(per_channel)
         var = stats.var
     inv = (1.0 / np.sqrt(var + stats.eps)).reshape(per_channel)
-    xhat *= inv
-    out = xhat * g
+    out *= inv
+    out *= g
     out += b
 
     def backward_fn(gout):
+        xhat = xd - centre
+        xhat *= inv
         gsum = np.einsum("nchw->c", gout)
         gdot = np.einsum("nchw,nchw->c", gout, xhat)
         a = g * inv
         gx = gout * a
         if train:  # batch statistics depend on x too
             gx -= a * (gsum / m).reshape(per_channel)
-            gx -= xhat * (a * (gdot / m).reshape(per_channel))
-        return gx.astype(x.data.dtype, copy=False), gdot, gsum
+            xhat *= a * (gdot / m).reshape(per_channel)
+            gx -= xhat
+        return gx.astype(xd.dtype, copy=False), gdot, gsum
 
-    return _emit((x, gamma, beta), out.astype(x.data.dtype, copy=False), backward_fn, "batchnorm2d")
+    return _emit((x, gamma, beta), out.astype(xd.dtype, copy=False), backward_fn, "batchnorm2d")
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own computational paths: convolution is
 a triple-loop sliding window, batchnorm a two-pass statistic, gradients come
-from central finite differences, and the integrator-equivalence weights are
-derived by direct linear algebra on the stage equations.
+from central finite differences, the integrator-equivalence weights are
+derived by direct linear algebra on the stage equations, and a step's
+parameter count is summed growth unit by growth unit.
 """
 
 import json
@@ -12,6 +13,7 @@ import struct
 import numpy as np
 
 from rknet import ops
+from rknet.model_spec import _growth_params
 
 
 def mean_all(t):
@@ -46,9 +48,9 @@ def forged_metadata(tensors):
     """Checkpoint files, packed by hand, that each copy the ordered {name:
     ndarray} dict of a valid checkpoint but replace one metadata entry with a
     bad one: an unknown dtype; a config that is not UTF-8, not JSON, not a JSON
-    object, breaks a spec range, has an unknown key or describes far more
-    parameters than the file holds (k=100000, or 99999999 time-steps); a
-    2-element seed; and a fractional or negative epoch."""
+    object, nested 100000 deep, breaks a spec range, has an unknown key or
+    describes far more parameters than the file holds (k=100000, or 99999999
+    time-steps); a 2-element seed; and a fractional or negative epoch."""
     def text(data):
         return np.frombuffer(data, dtype=np.uint8)
 
@@ -68,6 +70,7 @@ def forged_metadata(tensors):
         {"__config__": text(b"\xff\xfe")},
         {"__config__": text(b"{not json")},
         {"__config__": text(b'"name"')},
+        {"__config__": text(b"[" * 100000)},
         {"__config__": text(json.dumps({**cfg, "k": [0]}).encode())},
         {"__config__": text(json.dumps({**cfg, "bottelneck": True}).encode())},
         {"__config__": text(json.dumps({**cfg, "k": 100000}).encode())},
@@ -77,6 +80,21 @@ def forged_metadata(tensors):
         {"__epoch__": np.asarray(-1, dtype=np.int64)},
     ]
     return [pack({**tensors, **entry}) for entry in bad]
+
+
+def looped_step_params(p):
+    """Parameters of one step of period p, summed growth unit by growth unit."""
+    k, s, m = p.k, p.s, p.m
+    bw = p.bottleneck_width
+    if p.kind == "erk":
+        return sum(_growth_params(p.channels + (t - 1) * k, k, p.bottleneck, bw)
+                   for t in range(1, m * s + 1))
+    if p.kind == "irk":
+        stage1 = sum(_growth_params(j * k, k, p.bottleneck, bw) for j in range(1, s + 1))
+        stage2 = s * _growth_params((s - 1) * k, k, p.bottleneck, bw)
+        return stage1 + stage2
+    return sum(_growth_params(p.channels + (t - 1) * k, k, p.bottleneck, bw, time_plane=True)
+               for t in range(1, m + 1))
 
 
 def naive_conv2d(x, w, stride=1, pad=0):

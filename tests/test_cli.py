@@ -30,10 +30,12 @@ def write_config(tmp_path, filename="model.json", **overrides):
 
 
 def assert_rejected(argv, capsys, out):
-    """Exit 1 with an error line, no traceback, and no output directory."""
+    """Exit 1 with an error line, no traceback, and no output directory; returns stderr."""
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
     assert not out.exists()
+    return err
 
 
 @pytest.mark.parametrize("sub", ["build", "train", "eval", "convert",
@@ -93,9 +95,14 @@ class TestBuild:
     ("train", {"train": {"epochs": 1, "lr_drop_factor": 0}}),
     ("build", {"bottelneck": True}),
     ("train", {"train": {"epochs": 1, "augment": True}}),
+    pytest.param("build", "[" * 100000, id="build-deeply-nested"),
 ])
 def test_malformed_config_exits_1_with_an_error_line(tmp_path, capsys, sub, overrides):
-    argv = [sub, "--config", write_config(tmp_path, **overrides)]
+    if isinstance(overrides, str):  # a whole document, not changes to TINY
+        (tmp_path / "model.json").write_text(overrides)
+        argv = [sub, "--config", str(tmp_path / "model.json")]
+    else:
+        argv = [sub, "--config", write_config(tmp_path, **overrides)]
     if sub == "train":
         argv += ["--data", "synthetic", *SYN, "--out", str(tmp_path / "run")]
     assert_rejected(argv, capsys, tmp_path / "run")
@@ -249,6 +256,13 @@ class TestConvert:
         assert captured.err.startswith("error: ") and "[IRK Rule 3]" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("growth", ["0", "-12"])
+    def test_growth_below_1_exits_1_naming_it(self, tmp_path, capsys, growth):
+        out = tmp_path / "erk.json"
+        err = assert_rejected(["convert", "--from", "densenet", "--layers", "12", "--growth",
+                               growth, "--channels", "24", "--out", str(out)], capsys, out)
+        assert "growth_rate" in err
+
 
 class TestVerifyOrder:
     def test_orders_and_csv(self, tmp_path, capsys):
@@ -333,6 +347,8 @@ class TestTrainEvalInspect:
         forged = forged_metadata(network.read_checkpoint_tensors(out / "final.ckpt"))
         for data in [bytes(blob), *forged_checkpoints(), *forged_headers(), *forged]:
             bad.write_bytes(data)
+            with pytest.raises(network.CheckpointError):
+                network.load_checkpoint(bad)
             assert cli.main(["eval", "--checkpoint", str(bad), "--data", "synthetic", *SYN]) == 2
 
     def test_inspect_steps_on_fresh_time_channel_model(self, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Name grammar, rule validation, conversions, and parameter counting."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 
 from rknet import model_spec as ms
 from rknet import network
+
+from oracles import looped_step_params
 
 
 class TestParseModelName:
@@ -221,6 +226,24 @@ class TestCountParameters:
         small = ms.ModelSpec([ms.PeriodSpec(s=3, r=2, k=8, m=2)], input_shape=(3, 16, 16))
         big = ms.ModelSpec([ms.PeriodSpec(s=3, r=2, k=16, m=2)], input_shape=(3, 16, 16))
         assert ms.count_parameters(big) > ms.count_parameters(small)
+
+    @pytest.mark.parametrize("kind", ms.KINDS)
+    @pytest.mark.parametrize("bottleneck", [False, True])
+    def test_closed_form_matches_unit_by_unit_sum(self, kind, bottleneck):
+        # the time plane is the time_channel kind's extra conv input
+        for s, m, k in itertools.product([1, 2, 3, 7], [1, 2, 5], [1, 4, 12]):
+            p = ms.PeriodSpec(s=s, r=1, k=k, m=m, kind=kind, bottleneck=bottleneck)
+            assert ms._step_params(p) == looped_step_params(p)
+
+    def test_huge_stage_count_counts_fast(self):
+        n = 9999999
+        spec = ms.spec_from_config({"name": f"RKNet-{n}x1"})
+        start = time.perf_counter()
+        count = ms.count_parameters(spec)
+        assert time.perf_counter() - start < 0.05
+        # unit t sees 12t channels: BN 2*12t plus a 3x3 conv 9*12t*12
+        units = 110 * 12 * n * (n + 1) // 2
+        assert count == 3 * 12 * 9 + units + 2 * 12 + 12 * 10 + 10
 
 
 class TestConfigDocuments:

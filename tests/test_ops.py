@@ -303,6 +303,44 @@ class TestBatchNorm:
         backward(tape, loss)
         assert fd_gradcheck(loss_fn, [x, gamma, beta], rng, n_coords=30) < 1e-4
 
+    def test_tape_keeps_one_output_sized_array(self):
+        x = Tensor(np.random.default_rng(22).normal(size=(16, 16, 32, 32)).astype(np.float32))
+        gamma = Tensor(np.ones(16, dtype=np.float32))
+        beta = Tensor(np.zeros(16, dtype=np.float32))
+        stats = ops.BatchNormState(16)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = ops.batchnorm2d(x, gamma, beta, stats, "train")
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a kept xhat would add another 4 * x.size bytes to the output's
+        assert len(tape) == 1
+        assert retained < out.data.nbytes + x.size // 2
+
+    def test_eval_backward_ignores_a_later_train_update(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(4, 3, 5, 5)) * 2 + 1, dtype="float64")
+        gamma = Tensor(rng.normal(size=3) + 1, dtype="float64")
+        beta = Tensor(rng.normal(size=3), dtype="float64")
+        stats = ops.BatchNormState(3, dtype="float64")
+        stats.mean[:] = [0.5, -1.0, 2.0]
+        stats.var[:] = [1.5, 0.5, 4.0]
+        gout = rng.normal(size=x.shape)
+
+        def eval_grads(update_between):
+            with Tape() as tape:
+                ops.batchnorm2d(x, gamma, beta, stats, "eval")
+            if update_between:  # moves stats.mean and stats.var in place
+                ops.batchnorm2d(Tensor(x.data * 3 + 10), gamma, beta, stats, "train")
+            gx, gdot, _ = tape._nodes[-1].backward_fn(gout)
+            return gx, gdot
+
+        ref_gx, ref_gdot = eval_grads(False)
+        gx, gdot = eval_grads(True)
+        assert np.array_equal(gx, ref_gx) and np.array_equal(gdot, ref_gdot)
+
 
 class TestStructuralOps:
     def test_concat_then_split_roundtrip_bitwise(self):
