@@ -77,12 +77,13 @@ class BatchNorm:
     def __init__(self, store, prefix, channels):
         self.gamma = store.add_param(f"{prefix}.gamma", np.ones(channels))
         self.beta = store.add_param(f"{prefix}.beta", np.zeros(channels))
-        self.state = ops.BatchNormState(channels, dtype=store.dtype)
-        store.add_buffer(f"{prefix}.running_mean", self.state.mean)
-        store.add_buffer(f"{prefix}.running_var", self.state.var)
+        dtype = DTYPES[store.dtype]
+        self.running_mean = store.add_buffer(f"{prefix}.running_mean", np.zeros(channels, dtype))
+        self.running_var = store.add_buffer(f"{prefix}.running_var", np.ones(channels, dtype))
 
     def __call__(self, x, mode):
-        return ops.batchnorm2d(x, self.gamma.value, self.beta.value, self.state, mode)
+        return ops.batchnorm2d(x, self.gamma.value, self.beta.value, self.running_mean,
+                               self.running_var, mode)
 
 
 class GrowthUnit:

@@ -72,22 +72,24 @@ def _train_section(cfg):
     for key in section:
         if key not in names:
             raise ms.ConfigError(f"unknown train key {key!r}; expected one of {sorted(names)}")
-    return dict(section)
+    return section
 
 
 def cmd_train(args):
     cfg = ms.load_config(args.config)
     spec = ms.spec_from_config(cfg)
 
-    tcfg = _train_section(cfg)
-    for key, value in (("epochs", args.epochs), ("batch_size", args.batch_size),
-                       ("lr0", args.lr), ("seed", args.seed), ("augment", args.augment),
-                       ("dropout_p", args.dropout)):
-        if value is not None:
-            tcfg[key] = value
+    flagged = {key: value for key in args.train_flags
+               if (value := getattr(args, key)) is not None}
+    tcfg = {**_train_section(cfg), **flagged}
     if "epochs" not in tcfg:
         _fail("at least 1 epoch required: pass --epochs or set train.epochs in the config")
-    config = trainmod.TrainConfig(**tcfg)
+    try:
+        config = trainmod.TrainConfig(**tcfg)
+    except ms.ConfigError as exc:
+        if exc.key in flagged:  # a value a flag set is reported under the flag
+            raise ms.ConfigError(f"argument {args.train_flags[exc.key]}: {exc.reason}") from None
+        raise
 
     train_data, test_data = _resolve_data(args.data, spec, config.seed, args.synthetic_noise,
                                           args.synthetic_train, args.synthetic_test)
@@ -216,13 +218,14 @@ def build_parser():
     p.add_argument("--config", required=True)
     _add_data_flags(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--augment", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.set_defaults(func=cmd_train)
+    # each flag's dest is the TrainConfig field it sets
+    flags = [p.add_argument("--seed", type=int),
+             p.add_argument("--epochs", type=int),
+             p.add_argument("--batch-size", type=int),
+             p.add_argument("--lr", dest="lr0", type=float),
+             p.add_argument("--augment", action=argparse.BooleanOptionalAction),
+             p.add_argument("--dropout", dest="dropout_p", type=float)]
+    p.set_defaults(func=cmd_train, train_flags={a.dest: a.option_strings[0] for a in flags})
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
     p.add_argument("--checkpoint", required=True)

@@ -35,7 +35,11 @@ class ModelNameError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Malformed config document or training setting."""
+    """Malformed config document or training setting; ``key`` names the setting at fault."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message if key is None else f"config key {key!r}: {message}")
+        self.key, self.reason = key, message
 
 
 class InvalidSpecError(ConfigError):
@@ -61,7 +65,7 @@ class PeriodSpec:
 
     s: int
     r: int
-    k: int
+    k: int = 12
     m: int = 1
     kind: str = "erk"
     bottleneck: bool = False
@@ -309,7 +313,7 @@ def read_fields(obj, readers):
             try:
                 setattr(obj, f.name, readers[f.type](value))
             except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"config key {f.name!r}: {exc}") from None
+                raise ConfigError(str(exc), f.name) from None
 
 
 def as_flag(value):
@@ -360,7 +364,7 @@ _CONFIG_KEYS = {"name", "train", *_PERIOD_KEYS, *_MODEL_KEYS}
 def _per_period(value, n, key):
     if isinstance(value, list):
         if len(value) != n:
-            raise ConfigError(f"config key {key!r}: expected {n} per-period values, got {len(value)}")
+            raise ConfigError(f"expected {n} per-period values, got {len(value)}", key)
         return value
     return [value] * n
 
@@ -376,7 +380,8 @@ def spec_from_config(cfg):
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}; known: {sorted(_CONFIG_KEYS)}")
     pairs = parse_model_name(name)
-    cfg = {"kind": name_kind_hint(name) or "erk", "k": 12, **cfg}
+    if "kind" not in cfg and (hint := name_kind_hint(name)):
+        cfg = {**cfg, "kind": hint}
     columns = {key: _per_period(cfg[key], len(pairs), key) for key in _PERIOD_KEYS if key in cfg}
     periods = [PeriodSpec(s, r, **{key: values[i] for key, values in columns.items()})
                for i, (s, r) in enumerate(pairs)]
@@ -394,19 +399,10 @@ def as_kind(value):
 
 
 def spec_to_config(spec):
-    """Config dict that round-trips through spec_from_config."""
-    return {
-        "name": render_model_name(spec),
-        "kind": [p.kind for p in spec.periods],
-        "k": [p.k for p in spec.periods],
-        "m": [p.m for p in spec.periods],
-        "bottleneck": [p.bottleneck for p in spec.periods],
-        "attentional_transition": [p.attentional_transition for p in spec.periods],
-        "multiscale": spec.multiscale,
-        "num_classes": spec.num_classes,
-        "input_shape": list(spec.input_shape),
-        "share_weights": spec.share_weights,
-    }
+    """Config dict that round-trips through spec_from_config: the name and every config key."""
+    return {"name": render_model_name(spec),
+            **{key: [getattr(p, key) for p in spec.periods] for key in _PERIOD_KEYS},
+            **{key: getattr(spec, key) for key in _MODEL_KEYS}}
 
 
 def load_config(path):

@@ -78,23 +78,20 @@ def build_model(spec, seed=0, dtype="float32"):
         subnet = SubnetConfig(bottleneck_width=p.bottleneck_width if p.bottleneck else 0)
         prefix = f"period{p_idx}"
         blocks = []
-        shared = None
-        shared_units = None
         for step in range(p.r):
             sp = f"{prefix}.step{step}"
+            # shared weights: step n > 0 reuses step 0's block, or for a
+            # time-channel step its units (each step keeps its own step size)
+            first = blocks[0] if spec.share_weights and blocks else None
             if p.kind == "time_channel":
                 blk = TimeChannelStepBlock(store, sp, p.m, p.k, subnet=subnet, rng=rng,
-                                           units=shared_units)
-                if spec.share_weights:
-                    shared_units = blk.units
-            elif spec.share_weights and shared is not None:
-                blk = shared
+                                           units=first and first.units)
+            elif first is not None:
+                blk = first
             elif p.kind == "erk":
                 blk = ErkStepBlock(store, sp, p.s, p.m, p.k, subnet=subnet, rng=rng)
-                shared = blk
             else:
                 blk = IrkStepBlock(store, sp, p.s, p.k, subnet=subnet, rng=rng)
-                shared = blk
             blocks.append(blk)
         periods.append(blocks)
 
@@ -173,8 +170,7 @@ _CODE_DTYPES = {v: np.dtype(k) for k, v in _DTYPE_CODES.items()}
 
 def _state_tensors(model):
     out = {}
-    cfg = dict(spec_to_config(model.spec))
-    blob = json.dumps(cfg, sort_keys=True).encode("utf-8")
+    blob = json.dumps(spec_to_config(model.spec), sort_keys=True).encode("utf-8")
     out["__config__"] = np.frombuffer(blob, dtype=np.uint8)
     out["__epoch__"] = np.asarray(model.epoch, dtype=np.int64)
     out["__seed__"] = np.asarray(model.seed, dtype=np.uint64)

@@ -14,7 +14,7 @@ dtypes, never the input tensors.  Every op records itself on the active tape
 
 import numpy as np
 
-from .tensor import DTYPES, ShapeError, Tensor, active_tape, check_finite
+from .tensor import ShapeError, Tensor, active_tape, check_finite
 
 
 def _emit(inputs, out_data, backward_fn, what):
@@ -132,19 +132,16 @@ def conv2d(x, w, stride=1, pad=0):
 # ---------------------------------------------------------------------------
 # Batch normalization
 
-class BatchNormState:
-    """Running statistics for one batchnorm layer (not trained)."""
-
-    momentum = 0.1
-    eps = 1e-5
-
-    def __init__(self, channels, dtype="float32"):
-        self.mean = np.zeros(channels, dtype=DTYPES[dtype])
-        self.var = np.ones(channels, dtype=DTYPES[dtype])
+BN_MOMENTUM = 0.1  # running += BN_MOMENTUM * (batch statistic - running)
+BN_EPS = 1e-5
 
 
-def batchnorm2d(x, gamma, beta, stats, mode):
-    """Per-channel normalization over (N, H, W); train mode updates stats.
+def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
+    """Per-channel normalization over (N, H, W).
+
+    Train mode normalizes by the batch statistics and moves the caller's
+    per-channel arrays running_mean and running_var toward them in place, by
+    ``BN_MOMENTUM``.  Eval mode normalizes by those arrays and leaves them.
 
     One x-sized buffer is allocated: x is centred into it, then scaled by
     ``inv``, by gamma and shifted by beta in place, and it becomes the output.
@@ -170,16 +167,16 @@ def batchnorm2d(x, gamma, beta, stats, mode):
     train = mode == "train"
     # eval copies the running mean: a later train-mode call updates it in
     # place before this call's backward runs
-    mu = np.einsum("nchw->c", xd) / m if train else stats.mean.copy()
+    mu = np.einsum("nchw->c", xd) / m if train else running_mean.copy()
     centre = mu.reshape(per_channel)
     out = xd - centre
     if train:
         var = np.einsum("nchw,nchw->c", out, out) / m
-        stats.mean += stats.momentum * (mu - stats.mean)
-        stats.var += stats.momentum * (var - stats.var)
+        running_mean += BN_MOMENTUM * (mu - running_mean)
+        running_var += BN_MOMENTUM * (var - running_var)
     else:
-        var = stats.var
-    inv = (1.0 / np.sqrt(var + stats.eps)).reshape(per_channel)
+        var = running_var
+    inv = (1.0 / np.sqrt(var + BN_EPS)).reshape(per_channel)
     out *= inv
     out *= g
     out += b

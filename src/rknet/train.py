@@ -10,7 +10,7 @@ import numpy as np
 from . import network, ops
 from .atomic import atomic_write
 from .data import augment_cifar
-from .model_spec import as_flag, as_integer, as_number, as_tuple, read_fields
+from .model_spec import ConfigError, as_flag, as_integer, as_number, as_tuple, read_fields
 from .rng import make_rng
 from .tensor import NonFiniteError, Tape, backward, set_debug
 
@@ -21,7 +21,9 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Training settings; ``__post_init__`` checks each field by its type's reader."""
+    """Training settings; ``__post_init__`` checks each field by its type's reader.
+
+    A rejected value raises a ``ConfigError`` whose ``key`` is its field."""
 
     epochs: int
     batch_size: int = 64
@@ -38,21 +40,21 @@ class TrainConfig:
         read_fields(self, {int: as_integer, float: as_number, bool: as_flag,
                            tuple: as_tuple(as_number)})
         if self.epochs < 1:
-            raise ValueError(f"at least 1 epoch required, got {self.epochs}")
+            raise ConfigError(f"at least 1 epoch required, got {self.epochs}", "epochs")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+            raise ConfigError(f"must be at least 1, got {self.batch_size}", "batch_size")
         for name in ("lr0", "momentum", "weight_decay", "seed"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+                raise ConfigError(f"must be nonnegative, got {getattr(self, name)}", name)
         if self.lr_drop_factor <= 0:
-            raise ValueError(f"lr_drop_factor must be positive, got {self.lr_drop_factor}")
+            raise ConfigError(f"must be positive, got {self.lr_drop_factor}", "lr_drop_factor")
         pts = self.lr_drop_points
         if any(not 0 < p < 1 for p in pts) or list(pts) != sorted(set(pts)):
-            raise ValueError(f"lr_drop_points must be strictly increasing in (0, 1), got {pts}")
+            raise ConfigError(f"must be strictly increasing in (0, 1), got {pts}", "lr_drop_points")
         if self.dropout_p is None:
             self.dropout_p = 0.0 if self.augment else 0.2
         if not 0 <= self.dropout_p < 1:
-            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+            raise ConfigError(f"must be in [0, 1), got {self.dropout_p}", "dropout_p")
 
 
 def lr_at_epoch(config, epoch):

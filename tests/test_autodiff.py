@@ -128,12 +128,12 @@ def test_composed_network_matches_finite_differences():
     beta = Parameter(Tensor(np.zeros(4), dtype="float64"), "beta")
     fcw = make_param(rng, (4, 5), "fc.w")
     fcb = Parameter(Tensor(np.zeros(5), dtype="float64"), "fc.b")
-    stats = ops.BatchNormState(4, dtype="float64")
+    stats = (np.zeros(4), np.ones(4))
     labels = [0, 3]
 
     def loss_fn():
         h = ops.conv2d(x, w.value, stride=1, pad=1)
-        h = ops.relu(ops.batchnorm2d(h, gamma.value, beta.value, stats, "train"))
+        h = ops.relu(ops.batchnorm2d(h, gamma.value, beta.value, *stats, "train"))
         h = ops.avgpool2d(h, 2, 2)
         logits = ops.fully_connected(ops.global_avg_pool(h), fcw.value, fcb.value)
         return ops.softmax_cross_entropy(logits, labels).data
@@ -141,7 +141,7 @@ def test_composed_network_matches_finite_differences():
     params = [w, gamma, beta, fcw, fcb]
     with Tape() as tape:
         h = ops.conv2d(x, w.value, stride=1, pad=1)
-        h = ops.relu(ops.batchnorm2d(h, gamma.value, beta.value, stats, "train"))
+        h = ops.relu(ops.batchnorm2d(h, gamma.value, beta.value, *stats, "train"))
         h = ops.avgpool2d(h, 2, 2)
         logits = ops.fully_connected(ops.global_avg_pool(h), fcw.value, fcb.value)
         loss = ops.softmax_cross_entropy(logits, labels)

@@ -244,7 +244,7 @@ class TestTransitionLayer:
         store = ParamStore("float64")
         tr = TransitionLayer(store, "t", 3, 3, rng=make_rng(1, "tr"))
         tr.w.value.data[...] = np.eye(3).reshape(3, 3, 1, 1)
-        tr.bn.state.var[...] = 1.0 - 1e-5  # makes eval-mode normalization exact
+        tr.bn.running_var[...] = 1.0 - 1e-5  # makes eval-mode normalization exact
         v = 0.75
         out = tr.forward(Tensor(np.full((1, 3, 8, 8), v), dtype="float64"), mode="eval")
         assert np.all(out.data == v)

@@ -112,12 +112,26 @@ def test_malformed_config_exits_1_with_an_error_line(tmp_path, capsys, sub, over
     ["--lr", "nan"],
     ["--synthetic-train", "0"],
     ["--synthetic-test", "0"],
+    ["--dropout", "1.5"],
+    ["--batch-size", "0"],
+    ["--epochs", "0"],
+    ["--seed", "-1"],
 ])
 def test_bad_train_flag_exits_1_with_an_error_line(tmp_path, capsys, flags):
     out = tmp_path / "run"
     argv = ["train", "--config", write_config(tmp_path), "--data", "synthetic", *SYN,
             "--epochs", "1", *flags, "--out", str(out)]
-    assert_rejected(argv, capsys, out)
+    err = assert_rejected(argv, capsys, out)
+    if not flags[0].startswith("--synthetic"):  # a TrainConfig field: named by its flag
+        assert err.startswith(f"error: argument {flags[0]}: ")
+
+
+def test_bad_train_key_is_named_by_its_key_not_a_flag(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["train", "--config", write_config(tmp_path, train={"lr0": float("nan")}),
+            "--data", "synthetic", *SYN, "--epochs", "1", "--out", str(out)]
+    err = assert_rejected(argv, capsys, out)
+    assert "'lr0'" in err and "--" not in err
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TrainConfig)])
@@ -147,7 +161,8 @@ def test_every_spec_field_is_checked_by_its_dataclass(tmp_path, capsys, cls, nam
         {"s": 1, "r": 1, "k": 4}
     with pytest.raises(ms.ConfigError, match=name):
         cls(**{**valid, name: "1"})
-    if name in CONFIG_KEYS:
+    if name not in ("s", "r", "periods"):
+        assert name in CONFIG_KEYS
         assert_rejected(["build", "--config", write_config(tmp_path, **{name: "1"})], capsys,
                         tmp_path / "run")
 

@@ -265,6 +265,16 @@ class TestConfigDocuments:
         spec = ms.spec_from_config({"name": "IRKNet-2x1", "k": 4, "input_shape": [3, 16, 16]})
         assert spec.periods[0].kind == "irk"
 
+    def test_defaults_are_the_period_specs_own(self):
+        p = ms.PeriodSpec(s=1, r=1)
+        assert (p.k, p.kind) == (12, "erk")
+        assert ms.spec_from_config({"name": "RKNet-1x1"}).periods == [p]
+
+    def test_config_keys_are_the_spec_fields(self):
+        # a field added to PeriodSpec or ModelSpec reaches every checkpoint's __config__
+        spec = ms.spec_from_config({"name": "RKNet-2x1_1x1"})
+        assert set(ms.spec_to_config(spec)) == {"name", *ms._PERIOD_KEYS, *ms._MODEL_KEYS}
+
     def test_per_period_list_length_checked(self):
         with pytest.raises(ms.ConfigError, match="per-period"):
             ms.spec_from_config({"name": "RKNet-2x1_2x1", "k": [4, 4, 4]})

@@ -242,7 +242,7 @@ class TestBatchNorm:
         out = ops.batchnorm2d(Tensor(x, dtype="float64"),
                               Tensor(np.ones(3), dtype="float64"),
                               Tensor(np.zeros(3), dtype="float64"),
-                              ops.BatchNormState(3, dtype="float64"), "train")
+                              np.zeros(3), np.ones(3), "train")
         assert np.max(np.abs(out.data - x)) < 1e-3
 
     def test_zero_gamma_gives_beta(self):
@@ -251,7 +251,7 @@ class TestBatchNorm:
         out = ops.batchnorm2d(Tensor(rng.normal(size=(2, 2, 3, 3)), dtype="float64"),
                               Tensor(np.zeros(2), dtype="float64"),
                               Tensor(beta, dtype="float64"),
-                              ops.BatchNormState(2, dtype="float64"), "train")
+                              np.zeros(2), np.ones(2), "train")
         assert np.array_equal(out.data, np.broadcast_to(beta.reshape(1, 2, 1, 1), (2, 2, 3, 3)))
 
     def test_matches_two_pass_oracle(self):
@@ -261,44 +261,44 @@ class TestBatchNorm:
         beta = rng.normal(size=4)
         out = ops.batchnorm2d(Tensor(x, dtype="float64"),
                               Tensor(gamma, dtype="float64"), Tensor(beta, dtype="float64"),
-                              ops.BatchNormState(4, dtype="float64"), "train")
+                              np.zeros(4), np.ones(4), "train")
         assert np.max(np.abs(out.data - two_pass_batchnorm(x, gamma, beta))) < 1e-5
 
     def test_running_stats_update_and_eval_mode(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(8, 2, 4, 4)) * 3 + 5
-        stats = ops.BatchNormState(2, dtype="float64")
+        rmean, rvar = np.zeros(2), np.ones(2)
         gamma = Tensor(np.ones(2), dtype="float64")
         beta = Tensor(np.zeros(2), dtype="float64")
-        ops.batchnorm2d(Tensor(x, dtype="float64"), gamma, beta, stats, "train")
+        ops.batchnorm2d(Tensor(x, dtype="float64"), gamma, beta, rmean, rvar, "train")
         mu = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
-        assert np.allclose(stats.mean, 0.1 * mu)
-        assert np.allclose(stats.var, 0.9 + 0.1 * var)
-        before = (stats.mean.copy(), stats.var.copy())
-        out = ops.batchnorm2d(Tensor(x, dtype="float64"), gamma, beta, stats, "eval")
-        expected = (x - stats.mean.reshape(1, 2, 1, 1)) / np.sqrt(stats.var.reshape(1, 2, 1, 1) + 1e-5)
+        assert np.allclose(rmean, 0.1 * mu)
+        assert np.allclose(rvar, 0.9 + 0.1 * var)
+        before = (rmean.copy(), rvar.copy())
+        out = ops.batchnorm2d(Tensor(x, dtype="float64"), gamma, beta, rmean, rvar, "eval")
+        expected = (x - rmean.reshape(1, 2, 1, 1)) / np.sqrt(rvar.reshape(1, 2, 1, 1) + 1e-5)
         assert np.allclose(out.data, expected)
-        assert np.array_equal(stats.mean, before[0]) and np.array_equal(stats.var, before[1])
+        assert np.array_equal(rmean, before[0]) and np.array_equal(rvar, before[1])
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channel"):
             ops.batchnorm2d(Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.ones(2)),
-                            Tensor(np.zeros(2)), ops.BatchNormState(2), "train")
+                            Tensor(np.zeros(2)), np.zeros(2), np.ones(2), "train")
 
     def test_train_mode_gradients(self):
         rng = np.random.default_rng(6)
         x = Parameter(Tensor(rng.normal(size=(3, 2, 4, 4)), dtype="float64"), "x")
         gamma = Parameter(Tensor(rng.normal(size=2) + 1, dtype="float64"), "gamma")
         beta = Parameter(Tensor(rng.normal(size=2), dtype="float64"), "beta")
-        stats = ops.BatchNormState(2, dtype="float64")
+        stats = (np.zeros(2), np.ones(2))
 
         def loss_fn():
-            out = ops.batchnorm2d(x.value, gamma.value, beta.value, stats, "train")
+            out = ops.batchnorm2d(x.value, gamma.value, beta.value, *stats, "train")
             return mean_all(ops.sigmoid(out)).data
 
         with Tape() as tape:
-            out = ops.batchnorm2d(x.value, gamma.value, beta.value, stats, "train")
+            out = ops.batchnorm2d(x.value, gamma.value, beta.value, *stats, "train")
             loss = mean_all(ops.sigmoid(out))
         backward(tape, loss)
         assert fd_gradcheck(loss_fn, [x, gamma, beta], rng, n_coords=30) < 1e-4
@@ -307,11 +307,11 @@ class TestBatchNorm:
         x = Tensor(np.random.default_rng(22).normal(size=(16, 16, 32, 32)).astype(np.float32))
         gamma = Tensor(np.ones(16, dtype=np.float32))
         beta = Tensor(np.zeros(16, dtype=np.float32))
-        stats = ops.BatchNormState(16)
+        stats = (np.zeros(16, np.float32), np.ones(16, np.float32))
         tracemalloc.start()
         try:
             with Tape() as tape:
-                out = ops.batchnorm2d(x, gamma, beta, stats, "train")
+                out = ops.batchnorm2d(x, gamma, beta, *stats, "train")
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -324,16 +324,14 @@ class TestBatchNorm:
         x = Tensor(rng.normal(size=(4, 3, 5, 5)) * 2 + 1, dtype="float64")
         gamma = Tensor(rng.normal(size=3) + 1, dtype="float64")
         beta = Tensor(rng.normal(size=3), dtype="float64")
-        stats = ops.BatchNormState(3, dtype="float64")
-        stats.mean[:] = [0.5, -1.0, 2.0]
-        stats.var[:] = [1.5, 0.5, 4.0]
+        stats = (np.array([0.5, -1.0, 2.0]), np.array([1.5, 0.5, 4.0]))
         gout = rng.normal(size=x.shape)
 
         def eval_grads(update_between):
             with Tape() as tape:
-                ops.batchnorm2d(x, gamma, beta, stats, "eval")
-            if update_between:  # moves stats.mean and stats.var in place
-                ops.batchnorm2d(Tensor(x.data * 3 + 10), gamma, beta, stats, "train")
+                ops.batchnorm2d(x, gamma, beta, *stats, "eval")
+            if update_between:  # moves both running statistics in place
+                ops.batchnorm2d(Tensor(x.data * 3 + 10), gamma, beta, *stats, "train")
             gx, gdot, _ = tape._nodes[-1].backward_fn(gout)
             return gx, gdot
 

@@ -1,5 +1,8 @@
 """Optimizer, schedule, and epoch-loop behavior."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,16 @@ class TestTrainConfig:
     def test_rejects_wrong_types_and_non_finite_values(self, bad):
         with pytest.raises(ValueError):
             T.TrainConfig(**{"epochs": 1, **bad})
+
+    @pytest.mark.parametrize("settings", [
+        {"epochs": 1},
+        {"epochs": 40, "batch_size": 16, "lr0": 0.05, "momentum": 0.8, "weight_decay": 5e-4,
+         "lr_drop_points": (0.3, 0.6, 0.9), "lr_drop_factor": 5.0, "augment": True,
+         "dropout_p": 0.1, "seed": 7},
+    ])
+    def test_json_round_trip(self, settings):
+        cfg = T.TrainConfig(**settings)
+        assert T.TrainConfig(**json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
     def test_reads_integral_and_numpy_numbers(self):
         cfg = T.TrainConfig(epochs=12.0, batch_size=np.int64(16), lr0=np.float32(0.5),
