@@ -100,7 +100,6 @@ class GrowthUnit:
         self.k = k
         self.subnet = subnet
         self.time_plane = time_plane
-        self.calls = 0
         conv_in = in_ch + (1 if time_plane else 0)
         if subnet.linear_test_mode:
             self.w = store.add_param(f"{prefix}.conv.w", np.zeros((k, conv_in, 1, 1)))
@@ -118,7 +117,6 @@ class GrowthUnit:
         if x.shape[1] != self.in_ch:
             raise ShapeError(f"growth unit expects {self.in_ch} input channels, "
                              f"got {x.shape[1]} (input shape {x.shape})")
-        self.calls += 1
         if self.subnet.linear_test_mode:
             h = ops.concat_channels([x, time]) if time is not None else x
             return ops.conv2d(h, self.w.value, stride=1, pad=0)

@@ -27,15 +27,23 @@ def _load_spec(path):
     return ms.spec_from_config(ms.load_config(path))
 
 
-def _resolve_data(arg, spec, seed, noise, train_per_class, test_per_class):
+def _flagged(args, settings):
+    """The values flags set for fields of the settings dataclass; unset flags are None."""
+    return {f.name: value for f in dataclasses.fields(settings)
+            if (value := getattr(args, f.name, None)) is not None}
+
+
+def _resolve_data(arg, spec, seed, synthetic):
     if arg == "synthetic":
         c, h, w = spec.input_shape
         if c != 3 or h != w:
             _fail(f"synthetic data needs input_shape (3, s, s), config has {spec.input_shape}")
-        train = datamod.gen_synthetic_shapes(train_per_class, classes=spec.num_classes,
-                                             size=h, noise=noise, seed=seed, split="train")
-        test = datamod.gen_synthetic_shapes(test_per_class, classes=spec.num_classes,
-                                            size=h, noise=noise, seed=seed, split="test")
+        train = datamod.gen_synthetic_shapes(synthetic.train_per_class, classes=spec.num_classes,
+                                             size=h, noise=synthetic.noise, seed=seed,
+                                             split="train")
+        test = datamod.gen_synthetic_shapes(synthetic.test_per_class, classes=spec.num_classes,
+                                            size=h, noise=synthetic.noise, seed=seed,
+                                            split="test")
         return train, test
     if arg.startswith("cifar10:"):
         train, test = datamod.load_cifar10_binary(arg.split(":", 1)[1])
@@ -76,23 +84,16 @@ def _train_section(cfg):
 
 
 def cmd_train(args):
+    synthetic = datamod.SyntheticSplits(**_flagged(args, datamod.SyntheticSplits))
     cfg = ms.load_config(args.config)
     spec = ms.spec_from_config(cfg)
 
-    flagged = {key: value for key in args.train_flags
-               if (value := getattr(args, key)) is not None}
-    tcfg = {**_train_section(cfg), **flagged}
+    tcfg = {**_train_section(cfg), **_flagged(args, trainmod.TrainConfig)}
     if "epochs" not in tcfg:
         _fail("at least 1 epoch required: pass --epochs or set train.epochs in the config")
-    try:
-        config = trainmod.TrainConfig(**tcfg)
-    except ms.ConfigError as exc:
-        if exc.key in flagged:  # a value a flag set is reported under the flag
-            raise ms.ConfigError(f"argument {args.train_flags[exc.key]}: {exc.reason}") from None
-        raise
+    config = trainmod.TrainConfig(**tcfg)
 
-    train_data, test_data = _resolve_data(args.data, spec, config.seed, args.synthetic_noise,
-                                          args.synthetic_train, args.synthetic_test)
+    train_data, test_data = _resolve_data(args.data, spec, config.seed, synthetic)
     _check_data_shape(spec, train_data)
     if config.augment and spec.input_shape[1:] != (32, 32):
         _fail(f"augment needs 32x32 images, config has input_shape {spec.input_shape}")
@@ -117,9 +118,9 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    synthetic = datamod.SyntheticSplits(**_flagged(args, datamod.SyntheticSplits))
     model = network.load_checkpoint(args.checkpoint)
-    _, test = _resolve_data(args.data, model.spec, model.seed, args.synthetic_noise,
-                            args.synthetic_train, args.synthetic_test)
+    _, test = _resolve_data(args.data, model.spec, model.seed, synthetic)
     _check_data_shape(model.spec, test)
     loss, acc = trainmod.evaluate(model, test)
     print(f"loss={loss:.6f} acc={acc:.6f}")
@@ -160,12 +161,13 @@ def cmd_verify_order(args):
     for p in problems:
         if p not in rk.problem_names():
             _fail(f"unknown problem {p!r}; known: {rk.problem_names()}")
+    study = rk.OrderStudy(**_flagged(args, rk.OrderStudy))
     lines = ["method,problem,h,error,estimated_order"]
     for m in methods:
         tab = rk.tableau_library(m)
         for pname in problems:
             problem = rk.problem_library(pname)
-            hs, errors, order = rk.order_study(tab, problem, args.h0, args.levels)
+            hs, errors, order = rk.order_study(tab, problem, study.h0, study.levels)
             for h, err in zip(hs, errors):
                 lines.append(f"{m},{pname},{h:.10g},{err:.10e},{order:.6f}")
             print(f"{m} on {pname}: estimated order {order:.3f}")
@@ -189,15 +191,23 @@ def cmd_inspect_steps(args):
     return 0
 
 
+def _flag_names(*actions):
+    """{settings field: flag} for flags whose dest is the field they set."""
+    return {a.dest: a.option_strings[0] for a in actions}
+
+
 def _add_data_flags(p):
     p.add_argument("--data", required=True,
                    help="'synthetic' or 'cifar10:<dir with the 6 binary batches>'")
-    p.add_argument("--synthetic-noise", type=float, default=0.15,
-                   help="noise level for synthetic data (default 0.15)")
-    p.add_argument("--synthetic-train", type=int, default=500,
-                   help="synthetic training samples per class (default 500)")
-    p.add_argument("--synthetic-test", type=int, default=100,
-                   help="synthetic test samples per class (default 100)")
+    defaults = datamod.SyntheticSplits   # the dataclass defaults, as class attributes
+    return [p.add_argument("--synthetic-noise", dest="noise", type=float,
+                           help=f"noise level for synthetic data (default {defaults.noise})"),
+            p.add_argument("--synthetic-train", dest="train_per_class", type=int,
+                           help="synthetic training samples per class "
+                                f"(default {defaults.train_per_class})"),
+            p.add_argument("--synthetic-test", dest="test_per_class", type=int,
+                           help="synthetic test samples per class "
+                                f"(default {defaults.test_per_class})")]
 
 
 def build_parser():
@@ -216,7 +226,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a model; writes metrics.csv, final.ckpt, best.ckpt")
     p.add_argument("--config", required=True)
-    _add_data_flags(p)
+    data_flags = _add_data_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     # each flag's dest is the TrainConfig field it sets
     flags = [p.add_argument("--seed", type=int),
@@ -225,12 +235,11 @@ def build_parser():
              p.add_argument("--lr", dest="lr0", type=float),
              p.add_argument("--augment", action=argparse.BooleanOptionalAction),
              p.add_argument("--dropout", dest="dropout_p", type=float)]
-    p.set_defaults(func=cmd_train, train_flags={a.dest: a.option_strings[0] for a in flags})
+    p.set_defaults(func=cmd_train, flags=_flag_names(*data_flags, *flags))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
     p.add_argument("--checkpoint", required=True)
-    _add_data_flags(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, flags=_flag_names(*_add_data_flags(p)))
 
     p = sub.add_parser("convert", help="derive an RKNet config from a DenseNet/CliqueNet layout")
     p.add_argument("--from", dest="source", required=True, choices=("densenet", "cliquenet"))
@@ -247,10 +256,12 @@ def build_parser():
                    help="comma-separated tableau names")
     p.add_argument("--problem", default="decay,logistic",
                    help="comma-separated problem names")
-    p.add_argument("--h0", type=float, default=0.1)
-    p.add_argument("--levels", type=int, default=4)
+    defaults = rk.OrderStudy
+    flags = [p.add_argument("--h0", type=float, help=f"largest step size (default {defaults.h0})"),
+             p.add_argument("--levels", type=int,
+                            help=f"step sizes h0, h0/2, ... (default {defaults.levels})")]
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    p.set_defaults(func=cmd_verify_order)
+    p.set_defaults(func=cmd_verify_order, flags=_flag_names(*flags))
 
     p = sub.add_parser("inspect-steps", help="print trained h_n/u ratios of time-channel periods")
     p.add_argument("--checkpoint", required=True)
@@ -265,6 +276,13 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except ms.ConfigError as exc:
+        # a field a flag set is reported under the flag, others by their key
+        flag = getattr(args, "flags", {}).get(exc.key)
+        set_by_flag = flag is not None and getattr(args, exc.key) is not None
+        print(f"error: argument {flag}: {exc.reason}" if set_by_flag else f"error: {exc}",
+              file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model_spec import ConfigError, as_integer, as_number, read_fields
 from .rng import make_rng
 
 
@@ -67,6 +68,26 @@ def load_cifar10_binary(directory, normalize="meanstd"):
         raise ValueError(f"unknown normalize mode {normalize!r}")
     return (DatasetHandle(train_x, train_y, "train", 10),
             DatasetHandle(test_x.astype(np.float32), test_y, "test", 10))
+
+
+@dataclass
+class SyntheticSplits:
+    """Noise and per-class sizes of the synthetic train and test splits.
+
+    ``__post_init__`` checks each field by its type's reader; a rejected
+    value raises a ``ConfigError`` whose ``key`` is its field."""
+
+    noise: float = 0.15
+    train_per_class: int = 500
+    test_per_class: int = 100
+
+    def __post_init__(self):
+        read_fields(self, {int: as_integer, float: as_number})
+        if self.noise < 0:
+            raise ConfigError(f"must be nonnegative, got {self.noise}", "noise")
+        for name in ("train_per_class", "test_per_class"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"must be at least 1, got {getattr(self, name)}", name)
 
 
 def gen_synthetic_shapes(n_per_class, classes=4, size=16, noise=0.1, seed=0, split="train"):

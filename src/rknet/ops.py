@@ -7,13 +7,17 @@ an independent oracle.  The growth unit's BN -> ReLU -> conv chain is written
 to touch each activation as few times as numpy allows: batchnorm allocates
 only its output, normalizes into it in place, takes channel sums with
 ``einsum`` and rebuilds the normalized input in its backward from the input
-the tape holds; relu keeps no mask.  Backward closures capture arrays and
-dtypes, never the input tensors.  Every op records itself on the active tape
-(if any) and is pure given its inputs and rng.
+the tape holds; relu keeps no mask.  These three ops run their passes in
+chunks on the calling thread plus a worker pool (``parallel.run``); a chunk
+never splits a sum, so results do not depend on the number of threads.
+Backward closures capture arrays and dtypes, never the input tensors.  Every
+op records itself on the active tape (if any) and is pure given its inputs
+and rng.
 """
 
 import numpy as np
 
+from . import parallel
 from .tensor import ShapeError, Tensor, active_tape, check_finite
 
 
@@ -57,6 +61,11 @@ def conv2d(x, w, stride=1, pad=0):
     gradient shifted back by each tap's offset and gets one block of gw and
     of the gradient of ``xf`` from one GEMM each.  The tape keeps ``xf``
     (about the size of x), not a copy of every window.
+
+    Blocks, and groups of images for the pad, the crop and the gradient
+    scatter, are chunks of ``parallel.run``.  Each participant has its own
+    scratch, and each block keeps its own gw partial, summed in block order
+    afterwards, so the result does not depend on which thread ran a block.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW x and OIKK w, got {x.shape} and {w.shape}")
@@ -81,26 +90,44 @@ def conv2d(x, w, stride=1, pad=0):
     tail = offsets[-1]
     dtype = np.result_type(x.data, w.data)
     xdtype, wdtype = x.data.dtype, w.data.dtype
-    xf = np.zeros((c, m + tail), dtype=dtype)
-    xf[:, :m].reshape(c, n, hp, wp)[:, :, pad:pad + h, pad:pad + wd] = x.data.transpose(1, 0, 2, 3)
-    taps = w.data.astype(dtype, copy=False).transpose(2, 3, 0, 1).reshape(kk * o, c)
-    # the valid window corners inside the (O, N, Hp, Wp) wide layout
-    corners = (slice(None), slice(None),
-               slice(0, (oh - 1) * stride + 1, stride), slice(0, (ow - 1) * stride + 1, stride))
+    size = x.data.nbytes
+    images = parallel.spans(n, c * hp * wp * dtype.itemsize)
     block = max(1, min(CONV_BLOCK, m))
+    blocks = [slice(a, min(a + block, m)) for a in range(0, m, block)]
+    # the rows and columns of the valid window corners in the (Hp, Wp) wide layout
+    rows, cols = slice(0, (oh - 1) * stride + 1, stride), slice(0, (ow - 1) * stride + 1, stride)
 
+    xf = np.zeros((c, m + tail), dtype=dtype)
+    xf_images = xf[:, :m].reshape(c, n, hp, wp)
+    x_cn = x.data.transpose(1, 0, 2, 3)
+
+    def pad_images(s, slot):
+        xf_images[:, s, pad:pad + h, pad:pad + wd] = x_cn[:, s]
+
+    parallel.run(pad_images, images, size)
+    taps = w.data.astype(dtype, copy=False).transpose(2, 3, 0, 1).reshape(kk * o, c)
     wide = np.empty((o, m), dtype=dtype)
-    scratch = np.empty(kk * o * (block + tail), dtype=dtype)
-    for a in range(0, m, block):
-        b = min(a + block, m)
+    scratch = np.empty((parallel.width(blocks, size), kk * o * (block + tail)), dtype=dtype)
+
+    def forward_block(s, slot):
+        a, b = s.start, s.stop
         # stacked[t*O + r, q] = taps[t][r] . xf[:, a + q]; tap t adds its
         # columns off_t.. to wide[:, a:b]
-        stacked = scratch[:kk * o * (b - a + tail)].reshape(kk * o, b - a + tail)
+        stacked = scratch[slot, :kk * o * (b - a + tail)].reshape(kk * o, b - a + tail)
         np.matmul(taps, xf[:, a:b + tail], out=stacked)
         wide[:, a:b] = stacked[:o, :b - a]
         for t in range(1, kk):
             wide[:, a:b] += stacked[t * o:(t + 1) * o, offsets[t]:offsets[t] + b - a]
-    out = wide.reshape(o, n, hp, wp)[corners].transpose(1, 0, 2, 3)
+
+    parallel.run(forward_block, blocks, size)
+    scratch = None  # freed before the output is allocated
+    wide_images = wide.reshape(o, n, hp, wp)
+    out = np.empty((n, o, oh, ow), dtype=dtype)
+
+    def crop_images(s, slot):
+        out[s] = wide_images[:, s, rows, cols].transpose(1, 0, 2, 3)
+
+    parallel.run(crop_images, images, size)
 
     def backward_fn(gout):
         # gpad[:, tail + p] is the gradient of wide column p; tap t read xf
@@ -108,25 +135,45 @@ def conv2d(x, w, stride=1, pad=0):
         # is gpad[:, tail - off_t + q] (zero where q - off_t < 0).  Columns
         # q >= m of xf (the zero tail) only ever met zero gradient.
         gpad = np.zeros((o, tail + m), dtype=dtype)
-        gpad[:, tail:].reshape(o, n, hp, wp)[corners] = gout.transpose(1, 0, 2, 3)
-        gw = np.zeros((kk * o, c), dtype=dtype)
+        gpad_images = gpad[:, tail:].reshape(o, n, hp, wp)
+        gout_cn = gout.transpose(1, 0, 2, 3)
+
+        def scatter_images(s, slot):
+            gpad_images[:, s, rows, cols] = gout_cn[:, s]
+
+        parallel.run(scatter_images, images, size)
+        # one gw partial per block, summed in block order below
+        gw_blocks = np.empty((len(blocks), kk * o, c), dtype=dtype)
         gxf = np.empty((c, m), dtype=dtype)
-        scratch = np.empty(kk * o * block, dtype=dtype)
+        scratch = np.empty((parallel.width(blocks, size), kk * o * block), dtype=dtype)
         taps_t = np.ascontiguousarray(taps.T)
-        for a in range(0, m, block):
-            b = min(a + block, m)
-            shifted = scratch[:kk * o * (b - a)].reshape(kk, o, b - a)
+
+        def backward_block(s, slot):
+            a, b = s.start, s.stop
+            shifted = scratch[slot, :kk * o * (b - a)].reshape(kk, o, b - a)
             for t in range(kk):
                 shifted[t] = gpad[:, tail - offsets[t] + a:tail - offsets[t] + b]
             shifted = shifted.reshape(kk * o, b - a)
-            gw += shifted @ xf[:, a:b].T
+            np.matmul(shifted, xf[:, a:b].T, out=gw_blocks[a // block])
             np.matmul(taps_t, shifted, out=gxf[:, a:b])
-        gpad = scratch = shifted = None  # freed, so the copy into gx peaks at gx + gxf + gw
-        gx = gxf.reshape(c, n, hp, wp)[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
-        gw = gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
-        return np.ascontiguousarray(gx, dtype=xdtype), np.ascontiguousarray(gw, dtype=wdtype)
 
-    return _emit((x, w), np.ascontiguousarray(out), backward_fn, "conv2d")
+        parallel.run(backward_block, blocks, size)
+        gpad = scratch = None  # freed, so the copy into gx peaks at gx + gxf + gw
+        gw = np.zeros((kk * o, c), dtype=dtype)
+        for part in gw_blocks:
+            gw += part
+        gw_blocks = None
+        gxf_images = gxf.reshape(c, n, hp, wp)
+        gx = np.empty((n, c, h, wd), dtype=xdtype)
+
+        def crop_gradient(s, slot):
+            gx[s] = gxf_images[:, s, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
+
+        parallel.run(crop_gradient, images, size)
+        gw = gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
+        return gx, np.ascontiguousarray(gw, dtype=wdtype)
+
+    return _emit((x, w), out, backward_fn, "conv2d")
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +198,8 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
     eval mode, where the statistics do not depend on x).  It rebuilds
     ``xhat = (x - mu) * inv`` from x, which the tape holds anyway, with the
     same operations as the forward, so the tape keeps no normalized copy.
+    Channel sums run per group of channels and elementwise passes per group
+    of images, so each chunk of a pass is one contiguous run of memory.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm2d: mode must be 'train' or 'eval', got {mode!r}")
@@ -165,33 +214,69 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
     b = beta.data.reshape(per_channel)
     m = x.shape[0] * x.shape[2] * x.shape[3]
     train = mode == "train"
+    size = xd.nbytes
+    groups = parallel.spans(c, size // max(1, c))
+    images = parallel.spans(len(xd), size // max(1, len(xd)))
     # eval copies the running mean: a later train-mode call updates it in
     # place before this call's backward runs
-    mu = np.einsum("nchw->c", xd) / m if train else running_mean.copy()
+    mu = np.empty(c, dtype=xd.dtype) if train else running_mean.copy()
     centre = mu.reshape(per_channel)
-    out = xd - centre
+    out = np.empty(xd.shape, dtype=np.result_type(xd, mu))
     if train:
-        var = np.einsum("nchw,nchw->c", out, out) / m
+        def mean(s, slot):
+            mu[s] = np.einsum("nchw->c", xd[:, s]) / m
+
+        def variance(s, slot):
+            var[s] = np.einsum("nchw,nchw->c", out[:, s], out[:, s]) / m
+
+        var = np.empty(c, dtype=out.dtype)
+        parallel.run(mean, groups, size)
+        parallel.run(lambda s, slot: np.subtract(xd[s], centre, out=out[s]), images, size)
+        parallel.run(variance, groups, size)
         running_mean += BN_MOMENTUM * (mu - running_mean)
         running_var += BN_MOMENTUM * (var - running_var)
     else:
         var = running_var
     inv = (1.0 / np.sqrt(var + BN_EPS)).reshape(per_channel)
-    out *= inv
-    out *= g
-    out += b
+
+    def normalize(s, slot):
+        outs = out[s]
+        if not train:
+            np.subtract(xd[s], centre, out=outs)
+        outs *= inv
+        outs *= g
+        outs += b
+
+    parallel.run(normalize, images, size)
 
     def backward_fn(gout):
-        xhat = xd - centre
-        xhat *= inv
-        gsum = np.einsum("nchw->c", gout)
-        gdot = np.einsum("nchw,nchw->c", gout, xhat)
         a = g * inv
-        gx = gout * a
-        if train:  # batch statistics depend on x too
-            gx -= a * (gsum / m).reshape(per_channel)
-            xhat *= a * (gdot / m).reshape(per_channel)
-            gx -= xhat
+        xhat = np.empty(xd.shape, dtype=out.dtype)
+        gx = np.empty(gout.shape, dtype=np.result_type(gout, a))
+        gsum = np.empty(c, dtype=gout.dtype)
+        gdot = np.empty(c, dtype=np.result_type(gout, xhat))
+
+        def rebuild(s, slot):
+            np.subtract(xd[s], centre, out=xhat[s])
+            xhat[s] *= inv
+
+        def sums(s, slot):
+            gsum[s] = np.einsum("nchw->c", gout[:, s])
+            gdot[s] = np.einsum("nchw,nchw->c", gout[:, s], xhat[:, s])
+
+        def differentiate(s, slot):
+            gxs, xh = gx[s], xhat[s]
+            np.multiply(gout[s], a, out=gxs)
+            if train:  # batch statistics depend on x too
+                gxs -= a_sum
+                xh *= a_dot
+                gxs -= xh
+
+        parallel.run(rebuild, images, size)
+        parallel.run(sums, groups, size)
+        a_sum = a * (gsum / m).reshape(per_channel)
+        a_dot = a * (gdot / m).reshape(per_channel)
+        parallel.run(differentiate, images, size)
         return gx.astype(xd.dtype, copy=False), gdot, gsum
 
     return _emit((x, gamma, beta), out.astype(xd.dtype, copy=False), backward_fn, "batchnorm2d")
@@ -207,8 +292,17 @@ def relu(x):
     anyway, so no mask is kept.  -0.0 maps to +0.0 and a NaN input stays NaN
     (``np.maximum`` propagates it); its gradient is 0.
     """
-    out = np.maximum(x.data, 0)
-    return _emit((x,), out, lambda g: (g * (out > 0),), "relu")
+    xd = x.data
+    out = np.empty(xd.shape, dtype=xd.dtype)
+    images = parallel.spans(len(xd), xd[:1].nbytes) if xd.ndim else [...]
+    parallel.run(lambda s, slot: np.maximum(xd[s], 0, out=out[s]), images, xd.nbytes)
+
+    def backward_fn(g):
+        gx = np.empty(g.shape, dtype=g.dtype)
+        parallel.run(lambda s, slot: np.multiply(g[s], out[s] > 0, out=gx[s]), images, g.nbytes)
+        return (gx,)
+
+    return _emit((x,), out, backward_fn, "relu")
 
 
 def sigmoid(x):

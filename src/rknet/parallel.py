@@ -1,0 +1,145 @@
+"""Chunked work on the calling thread plus a worker pool.
+
+``run(fn, chunks, nbytes)`` calls ``fn(chunk, slot)`` once per chunk.  The
+calling thread and the pool's workers pull chunks from one shared iterator,
+so a participant that the host slows down simply takes fewer of them; ``slot``
+numbers the participant (0 is the calling thread), for per-participant
+scratch.  numpy releases the GIL inside its loops and GEMMs, so the chunks
+run on separate cores.  Chunk functions only write slices of arrays the
+caller allocated; they record nothing on a tape.
+
+The pool starts with the first ``run`` call, not at import, and is started
+again in a forked child.  It first pins numpy's bundled OpenBLAS to one
+thread for the whole process, so that pooled GEMMs do not compete with BLAS
+helper threads and results do not depend on the number of CPUs, and then
+starts one worker per further usable CPU.  When no thread setter is found
+(another BLAS build), the pool has no workers and every chunk runs on the
+calling thread, through the same loop.  So does work below ``INLINE_BYTES``,
+where waking a worker costs more than it saves.
+"""
+
+import ctypes
+import os
+import threading
+from pathlib import Path
+
+import numpy as np
+
+INLINE_BYTES = 1 << 18   # smaller work runs on the calling thread alone
+CHUNK_BYTES = 1 << 20    # target bytes a chunk of ``spans`` covers
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "openblas_set_num_threads")
+
+
+def _pin_blas_to_one_thread():
+    """Set numpy's bundled OpenBLAS to one thread; False when no setter is found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else ():
+        handle = ctypes.CDLL(str(lib))
+        for name in _BLAS_SETTERS:
+            setter = getattr(handle, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return True
+    return False
+
+
+class _Job:
+    """One ``run`` call: the shared chunk iterator and an error a chunk raised."""
+
+    def __init__(self, fn, chunks):
+        self.fn = fn
+        self.chunks = iter(chunks)
+        self.error = None
+
+    def work(self, slot):
+        for chunk in self.chunks:   # next() on a list iterator is atomic under the GIL
+            if self.error is not None:
+                return
+            try:
+                self.fn(chunk, slot)
+            except BaseException as exc:  # re-raised on the calling thread
+                self.error = exc
+                return
+
+
+class _Pool:
+    """Workers that each wait on their own held lock until ``run`` releases it."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self.busy = threading.Lock()   # one job at a time; a concurrent caller runs inline
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = (cpus or 1) - 1 if _pin_blas_to_one_thread() else 0
+        self.job = None
+        self.wake = [_held_lock() for _ in range(workers)]
+        self.done = [_held_lock() for _ in range(workers)]
+        for slot in range(1, workers + 1):
+            threading.Thread(target=self._serve, args=(slot,), daemon=True).start()
+
+    def _serve(self, slot):
+        while True:
+            self.wake[slot - 1].acquire()
+            # no local name for the job: it would keep the chunk function's
+            # arrays alive until the next job; None only if the caller was
+            # interrupted while it waited
+            if self.job is not None:
+                self.job.work(slot)
+            self.done[slot - 1].release()
+
+
+def _held_lock():
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
+
+
+_POOL = None   # one per process, as the BLAS pin it makes is process-wide
+
+
+def _pool():
+    global _POOL
+    if _POOL is None or _POOL.pid != os.getpid():
+        _POOL = _Pool()
+    return _POOL
+
+
+def width(chunks, nbytes):
+    """How many participants ``run`` may use for this work: the slots to allocate."""
+    pool = _pool()
+    return 1 if nbytes < INLINE_BYTES or len(chunks) < 2 else 1 + len(pool.wake)
+
+
+def run(fn, chunks, nbytes):
+    """Call ``fn(chunk, slot)`` for every chunk; ``nbytes`` sizes the work.
+
+    If a chunk raises, no participant starts another chunk, and the error
+    (one of them, if several chunks raised) is raised here once every worker
+    has finished its current chunk, so no worker still writes into the
+    caller's arrays.
+    """
+    pool = _pool()
+    if width(chunks, nbytes) == 1 or not pool.busy.acquire(blocking=False):
+        for chunk in chunks:
+            fn(chunk, 0)
+        return
+    job = pool.job = _Job(fn, chunks)
+    try:
+        for wake in pool.wake:
+            wake.release()
+        job.work(0)
+        for done in pool.done:
+            done.acquire()
+    finally:
+        pool.job = None
+        pool.busy.release()
+    if job.error is not None:
+        raise job.error
+
+
+def spans(n, unit_bytes):
+    """Split range(n) into consecutive slices of near-equal size, each at most
+    about ``CHUNK_BYTES``; ``unit_bytes`` is the size of one index's data."""
+    count = min(n, max(1, -(-n * unit_bytes // CHUNK_BYTES)))
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]

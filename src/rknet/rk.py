@@ -10,6 +10,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .model_spec import ConfigError, as_integer, as_number, read_fields
+
 
 class StageSolveError(RuntimeError):
     """Implicit stage system failed to converge within the iteration cap."""
@@ -208,10 +210,39 @@ def global_error(tab, problem, h, t_end):
     return float(np.max(np.abs(traj.final_state - problem.exact(t_end))))
 
 
+MAX_STUDY_STEPS = 1 << 16   # integrator steps of one order study, summed over its levels
+
+
+@dataclass
+class OrderStudy:
+    """Step sizes h0, h0/2, ... over ``levels`` levels on [t0, t0 + 1].
+
+    ``__post_init__`` checks each field by its type's reader, and bounds the
+    step count before anything runs: it doubles with each level.  A
+    rejected value raises a ``ConfigError`` whose ``key`` is its field."""
+
+    h0: float = 0.1
+    levels: int = 4
+
+    def __post_init__(self):
+        read_fields(self, {int: as_integer, float: as_number})
+        most = MAX_STUDY_STEPS.bit_length() - 1   # levels of h0 = 1 that fit the bound
+        if not 3 <= self.levels <= most:
+            raise ConfigError(f"need at least 3 levels and at most {most}, got {self.levels}",
+                              "levels")
+        if not 0 < self.h0 <= 1:
+            raise ConfigError(f"must be in (0, 1], got {self.h0}", "h0")
+        steps = (2 ** self.levels - 1) / self.h0
+        if steps > MAX_STUDY_STEPS:
+            raise ConfigError(f"{self.h0} over {self.levels} levels takes {steps:.3g} steps, "
+                              f"more than {MAX_STUDY_STEPS}", "h0")
+        if abs(round(1 / self.h0) * self.h0 - 1) > 1e-9:
+            raise ConfigError(f"must divide [t0, t0 + 1] into whole steps, got {self.h0}", "h0")
+
+
 def order_study(tab, problem, h0, levels):
     """Errors at t0 + 1 for h0, h0/2, ... plus the mean observed convergence order."""
-    if levels < 3:
-        raise ValueError(f"order_study: need at least 3 levels, got {levels}")
+    OrderStudy(h0, levels)  # raises ConfigError before any step of a bad or too long study
     if problem.exact is None:
         raise ValueError("order_study: problem has no exact solution")
     t_end = problem.t0 + 1.0

@@ -6,13 +6,14 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rknet import cli, network
+from rknet import cli, network, rk
 from rknet import model_spec as ms
 from rknet.train import TrainConfig
 
@@ -116,14 +117,22 @@ def test_malformed_config_exits_1_with_an_error_line(tmp_path, capsys, sub, over
     ["--batch-size", "0"],
     ["--epochs", "0"],
     ["--seed", "-1"],
+    ["--synthetic-noise", "nan"],
+    ["--synthetic-noise", "-1"],
 ])
 def test_bad_train_flag_exits_1_with_an_error_line(tmp_path, capsys, flags):
     out = tmp_path / "run"
     argv = ["train", "--config", write_config(tmp_path), "--data", "synthetic", *SYN,
             "--epochs", "1", *flags, "--out", str(out)]
     err = assert_rejected(argv, capsys, out)
-    if not flags[0].startswith("--synthetic"):  # a TrainConfig field: named by its flag
-        assert err.startswith(f"error: argument {flags[0]}: ")
+    assert err.startswith(f"error: argument {flags[0]}: ")
+
+
+@pytest.mark.parametrize("flags", [["--synthetic-noise", "inf"], ["--synthetic-test", "0"]])
+def test_bad_eval_data_flag_is_named_before_the_checkpoint_is_read(tmp_path, capsys, flags):
+    argv = ["eval", "--checkpoint", str(tmp_path / "missing.ckpt"), "--data", "synthetic", *flags]
+    err = assert_rejected(argv, capsys, tmp_path / "missing.ckpt")
+    assert err.startswith(f"error: argument {flags[0]}: ")
 
 
 def test_bad_train_key_is_named_by_its_key_not_a_flag(tmp_path, capsys):
@@ -300,6 +309,34 @@ class TestVerifyOrder:
     def test_unknown_method_exits_1(self, capsys):
         assert cli.main(["verify-order", "--methods", "rk99"]) == 1
         assert "unknown method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--h0", "0"],
+        ["--h0", "nan"],
+        ["--h0", "-0.1"],
+        ["--h0", "0.3"],
+        ["--h0", "1e-300", "--levels", "3"],  # about 7e300 steps
+        ["--levels", "100000"],
+        ["--levels", "2"],
+        ["--levels", "40"],
+    ])
+    def test_bad_flag_exits_1_naming_it_before_any_step_runs(self, tmp_path, capsys, flags):
+        out = tmp_path / "orders.csv"
+        t0 = time.monotonic()
+        err = assert_rejected(["verify-order", *flags, "--out", str(out)], capsys, out)
+        assert time.monotonic() - t0 < 1
+        named = "--h0" if "1e-300" in flags else flags[0]
+        assert err.startswith(f"error: argument {named}: ")
+
+    def test_step_count_is_bounded_for_every_accepted_setting(self):
+        for levels in range(3, 17):
+            for h0 in (1.0, 0.5, 0.1, 1e-3, 1e-5):
+                try:
+                    study = rk.OrderStudy(h0, levels)
+                except ms.ConfigError:
+                    continue
+                steps = sum(round(1 / h) for h in (study.h0 / 2 ** lv for lv in range(levels)))
+                assert steps <= rk.MAX_STUDY_STEPS
 
 
 class TestTrainEvalInspect:

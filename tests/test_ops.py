@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rknet import ops
+from rknet import ops, parallel
 from rknet.rng import make_rng
 from rknet.tensor import Parameter, ShapeError, Tape, Tensor, backward
 
@@ -133,7 +133,8 @@ class TestConv2d:
 
     def test_backward_transient_is_one_block_of_tap_stack(self):
         # a growth conv (36 -> 12, 3x3, pad 1) with 20736 wide columns: a
-        # stack of the wide gradient for all 9 taps would be 9 MB on its own
+        # stack of the wide gradient for all 9 taps would be 9 MB on its own;
+        # each thread that runs blocks has its own one-block scratch
         rng = np.random.default_rng(19)
         n, c, o, side = 64, 36, 12, 16
         x = Tensor(rng.normal(size=(n, c, side, side)).astype(np.float32))
@@ -149,7 +150,8 @@ class TestConv2d:
             tracemalloc.stop()
         m = n * (side + 2) ** 2
         gxf = c * m * 4
-        scratch = 9 * o * min(ops.CONV_BLOCK, m) * 4
+        threads = parallel.width(range(0, m, ops.CONV_BLOCK), x.data.nbytes)
+        scratch = threads * 9 * o * min(ops.CONV_BLOCK, m) * 4
         assert peak <= gx.nbytes + gxf + gw.nbytes + scratch
 
     def test_tape_keeps_about_one_copy_of_the_input(self):
