@@ -210,8 +210,13 @@ def _add_data_flags(p):
                                 f"(default {defaults.test_per_class})")]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a validation failure: exit 1, one error line
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rknet",
         description="Build, train, and inspect Runge-Kutta convolutional networks; "
                     "verify integrator convergence orders.",
@@ -272,10 +277,9 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except ms.ConfigError as exc:
         # a field a flag set is reported under the flag, others by their key
         flag = getattr(args, "flags", {}).get(exc.key)

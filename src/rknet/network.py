@@ -290,8 +290,8 @@ def load_checkpoint(path):
                               f"(unknown: {unknown[:5]}, missing: {missing[:5]})")
     for name, dst in arrays.items():
         arr = tensors[name]
-        if arr.shape != dst.shape:
-            raise CheckpointError(f"{path}: tensor {name!r} has shape {arr.shape}, "
-                                  f"expected {dst.shape}")
+        if arr.shape != dst.shape or arr.dtype != dst.dtype:
+            raise CheckpointError(f"{path}: tensor {name!r} is {arr.dtype} of shape {arr.shape}, "
+                                  f"expected {dst.dtype} of shape {dst.shape}")
         dst[...] = arr
     return model

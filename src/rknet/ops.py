@@ -90,7 +90,6 @@ def conv2d(x, w, stride=1, pad=0):
     tail = offsets[-1]
     dtype = np.result_type(x.data, w.data)
     xdtype, wdtype = x.data.dtype, w.data.dtype
-    size = x.data.nbytes
     images = parallel.spans(n, c * hp * wp * dtype.itemsize)
     block = max(1, min(CONV_BLOCK, m))
     blocks = [slice(a, min(a + block, m)) for a in range(0, m, block)]
@@ -104,10 +103,10 @@ def conv2d(x, w, stride=1, pad=0):
     def pad_images(s, slot):
         xf_images[:, s, pad:pad + h, pad:pad + wd] = x_cn[:, s]
 
-    parallel.run(pad_images, images, size)
+    parallel.run(pad_images, images)
     taps = w.data.astype(dtype, copy=False).transpose(2, 3, 0, 1).reshape(kk * o, c)
     wide = np.empty((o, m), dtype=dtype)
-    scratch = np.empty((parallel.width(blocks, size), kk * o * (block + tail)), dtype=dtype)
+    scratch = np.empty((parallel.width(blocks), kk * o * (block + tail)), dtype=dtype)
 
     def forward_block(s, slot):
         a, b = s.start, s.stop
@@ -119,7 +118,7 @@ def conv2d(x, w, stride=1, pad=0):
         for t in range(1, kk):
             wide[:, a:b] += stacked[t * o:(t + 1) * o, offsets[t]:offsets[t] + b - a]
 
-    parallel.run(forward_block, blocks, size)
+    parallel.run(forward_block, blocks)
     scratch = None  # freed before the output is allocated
     wide_images = wide.reshape(o, n, hp, wp)
     out = np.empty((n, o, oh, ow), dtype=dtype)
@@ -127,7 +126,7 @@ def conv2d(x, w, stride=1, pad=0):
     def crop_images(s, slot):
         out[s] = wide_images[:, s, rows, cols].transpose(1, 0, 2, 3)
 
-    parallel.run(crop_images, images, size)
+    parallel.run(crop_images, images)
 
     def backward_fn(gout):
         # gpad[:, tail + p] is the gradient of wide column p; tap t read xf
@@ -141,11 +140,11 @@ def conv2d(x, w, stride=1, pad=0):
         def scatter_images(s, slot):
             gpad_images[:, s, rows, cols] = gout_cn[:, s]
 
-        parallel.run(scatter_images, images, size)
+        parallel.run(scatter_images, images)
         # one gw partial per block, summed in block order below
         gw_blocks = np.empty((len(blocks), kk * o, c), dtype=dtype)
         gxf = np.empty((c, m), dtype=dtype)
-        scratch = np.empty((parallel.width(blocks, size), kk * o * block), dtype=dtype)
+        scratch = np.empty((parallel.width(blocks), kk * o * block), dtype=dtype)
         taps_t = np.ascontiguousarray(taps.T)
 
         def backward_block(s, slot):
@@ -157,7 +156,7 @@ def conv2d(x, w, stride=1, pad=0):
             np.matmul(shifted, xf[:, a:b].T, out=gw_blocks[a // block])
             np.matmul(taps_t, shifted, out=gxf[:, a:b])
 
-        parallel.run(backward_block, blocks, size)
+        parallel.run(backward_block, blocks)
         gpad = scratch = None  # freed, so the copy into gx peaks at gx + gxf + gw
         gw = np.zeros((kk * o, c), dtype=dtype)
         for part in gw_blocks:
@@ -169,7 +168,7 @@ def conv2d(x, w, stride=1, pad=0):
         def crop_gradient(s, slot):
             gx[s] = gxf_images[:, s, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
 
-        parallel.run(crop_gradient, images, size)
+        parallel.run(crop_gradient, images)
         gw = gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
         return gx, np.ascontiguousarray(gw, dtype=wdtype)
 
@@ -214,9 +213,8 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
     b = beta.data.reshape(per_channel)
     m = x.shape[0] * x.shape[2] * x.shape[3]
     train = mode == "train"
-    size = xd.nbytes
-    groups = parallel.spans(c, size // max(1, c))
-    images = parallel.spans(len(xd), size // max(1, len(xd)))
+    groups = parallel.spans(c, xd.nbytes // max(1, c))
+    images = parallel.spans(len(xd), xd.nbytes // max(1, len(xd)))
     # eval copies the running mean: a later train-mode call updates it in
     # place before this call's backward runs
     mu = np.empty(c, dtype=xd.dtype) if train else running_mean.copy()
@@ -230,9 +228,9 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
             var[s] = np.einsum("nchw,nchw->c", out[:, s], out[:, s]) / m
 
         var = np.empty(c, dtype=out.dtype)
-        parallel.run(mean, groups, size)
-        parallel.run(lambda s, slot: np.subtract(xd[s], centre, out=out[s]), images, size)
-        parallel.run(variance, groups, size)
+        parallel.run(mean, groups)
+        parallel.run(lambda s, slot: np.subtract(xd[s], centre, out=out[s]), images)
+        parallel.run(variance, groups)
         running_mean += BN_MOMENTUM * (mu - running_mean)
         running_var += BN_MOMENTUM * (var - running_var)
     else:
@@ -247,7 +245,7 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
         outs *= g
         outs += b
 
-    parallel.run(normalize, images, size)
+    parallel.run(normalize, images)
 
     def backward_fn(gout):
         a = g * inv
@@ -272,11 +270,11 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
                 xh *= a_dot
                 gxs -= xh
 
-        parallel.run(rebuild, images, size)
-        parallel.run(sums, groups, size)
+        parallel.run(rebuild, images)
+        parallel.run(sums, groups)
         a_sum = a * (gsum / m).reshape(per_channel)
         a_dot = a * (gdot / m).reshape(per_channel)
-        parallel.run(differentiate, images, size)
+        parallel.run(differentiate, images)
         return gx.astype(xd.dtype, copy=False), gdot, gsum
 
     return _emit((x, gamma, beta), out.astype(xd.dtype, copy=False), backward_fn, "batchnorm2d")
@@ -295,11 +293,11 @@ def relu(x):
     xd = x.data
     out = np.empty(xd.shape, dtype=xd.dtype)
     images = parallel.spans(len(xd), xd[:1].nbytes) if xd.ndim else [...]
-    parallel.run(lambda s, slot: np.maximum(xd[s], 0, out=out[s]), images, xd.nbytes)
+    parallel.run(lambda s, slot: np.maximum(xd[s], 0, out=out[s]), images)
 
     def backward_fn(g):
         gx = np.empty(g.shape, dtype=g.dtype)
-        parallel.run(lambda s, slot: np.multiply(g[s], out[s] > 0, out=gx[s]), images, g.nbytes)
+        parallel.run(lambda s, slot: np.multiply(g[s], out[s] > 0, out=gx[s]), images)
         return (gx,)
 
     return _emit((x,), out, backward_fn, "relu")

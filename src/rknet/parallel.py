@@ -1,6 +1,6 @@
 """Chunked work on the calling thread plus a worker pool.
 
-``run(fn, chunks, nbytes)`` calls ``fn(chunk, slot)`` once per chunk.  The
+``run(fn, chunks)`` calls ``fn(chunk, slot)`` once per chunk.  The
 calling thread and the pool's workers pull chunks from one shared iterator,
 so a participant that the host slows down simply takes fewer of them; ``slot``
 numbers the participant (0 is the calling thread), for per-participant
@@ -14,18 +14,18 @@ thread for the whole process, so that pooled GEMMs do not compete with BLAS
 helper threads and results do not depend on the number of CPUs, and then
 starts one worker per further usable CPU.  When no thread setter is found
 (another BLAS build), the pool has no workers and every chunk runs on the
-calling thread, through the same loop.  So does work below ``INLINE_BYTES``,
-where waking a worker costs more than it saves.
+calling thread, through the same loop.  So does a pass of one chunk, which is
+what ``spans`` makes of work below ``CHUNK_BYTES``.
 """
 
 import ctypes
 import os
+import queue
 import threading
 from pathlib import Path
 
 import numpy as np
 
-INLINE_BYTES = 1 << 18   # smaller work runs on the calling thread alone
 CHUNK_BYTES = 1 << 20    # target bytes a chunk of ``spans`` covers
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                  "openblas_set_num_threads")
@@ -46,12 +46,14 @@ def _pin_blas_to_one_thread():
 
 
 class _Job:
-    """One ``run`` call: the shared chunk iterator and an error a chunk raised."""
+    """One ``run`` call: the shared chunk iterator, an error a chunk raised, and
+    the queue on which each worker reports that it has left the job."""
 
     def __init__(self, fn, chunks):
         self.fn = fn
         self.chunks = iter(chunks)
         self.error = None
+        self.left = queue.SimpleQueue()
 
     def work(self, slot):
         for chunk in self.chunks:   # next() on a list iterator is atomic under the GIL
@@ -65,34 +67,23 @@ class _Job:
 
 
 class _Pool:
-    """Workers that each wait on their own held lock until ``run`` releases it."""
+    """Workers that each take jobs from one queue, one job per ``put``."""
 
     def __init__(self):
         self.pid = os.getpid()
         self.busy = threading.Lock()   # one job at a time; a concurrent caller runs inline
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        workers = (cpus or 1) - 1 if _pin_blas_to_one_thread() else 0
-        self.job = None
-        self.wake = [_held_lock() for _ in range(workers)]
-        self.done = [_held_lock() for _ in range(workers)]
-        for slot in range(1, workers + 1):
+        self.workers = (cpus or 1) - 1 if _pin_blas_to_one_thread() else 0
+        self.jobs = queue.SimpleQueue()
+        for slot in range(1, self.workers + 1):
             threading.Thread(target=self._serve, args=(slot,), daemon=True).start()
 
     def _serve(self, slot):
         while True:
-            self.wake[slot - 1].acquire()
-            # no local name for the job: it would keep the chunk function's
-            # arrays alive until the next job; None only if the caller was
-            # interrupted while it waited
-            if self.job is not None:
-                self.job.work(slot)
-            self.done[slot - 1].release()
-
-
-def _held_lock():
-    lock = threading.Lock()
-    lock.acquire()
-    return lock
+            job = self.jobs.get()
+            job.work(slot)
+            left, job = job.left, None   # so the chunk function's arrays do not outlive ``run``
+            left.put(None)
 
 
 _POOL = None   # one per process, as the BLAS pin it makes is process-wide
@@ -105,35 +96,37 @@ def _pool():
     return _POOL
 
 
-def width(chunks, nbytes):
-    """How many participants ``run`` may use for this work: the slots to allocate."""
-    pool = _pool()
-    return 1 if nbytes < INLINE_BYTES or len(chunks) < 2 else 1 + len(pool.wake)
+def width(chunks):
+    """How many participants ``run`` may use for these chunks: the slots to allocate."""
+    return 1 if len(chunks) < 2 else 1 + _pool().workers
 
 
-def run(fn, chunks, nbytes):
-    """Call ``fn(chunk, slot)`` for every chunk; ``nbytes`` sizes the work.
+def run(fn, chunks):
+    """Call ``fn(chunk, slot)`` for every chunk.
 
     If a chunk raises, no participant starts another chunk, and the error
     (one of them, if several chunks raised) is raised here once every worker
-    has finished its current chunk, so no worker still writes into the
-    caller's arrays.
+    has left the job, so no worker still writes into the caller's arrays.
+    Any other exception, such as an interrupt while waiting, also stops new
+    chunks and is raised at once; a worker's late report goes to this job's
+    own queue, which no later call reads.
     """
     pool = _pool()
-    if width(chunks, nbytes) == 1 or not pool.busy.acquire(blocking=False):
-        for chunk in chunks:
-            fn(chunk, 0)
-        return
-    job = pool.job = _Job(fn, chunks)
-    try:
-        for wake in pool.wake:
-            wake.release()
+    job = _Job(fn, chunks)
+    if width(chunks) > 1 and pool.busy.acquire(blocking=False):
+        try:
+            for _ in range(pool.workers):
+                pool.jobs.put(job)
+            job.work(0)
+            for _ in range(pool.workers):
+                job.left.get()
+        except BaseException as exc:
+            job.error = exc
+            raise
+        finally:
+            pool.busy.release()
+    else:
         job.work(0)
-        for done in pool.done:
-            done.acquire()
-    finally:
-        pool.job = None
-        pool.busy.release()
     if job.error is not None:
         raise job.error
 

@@ -46,11 +46,12 @@ def forged_headers():
 
 def forged_metadata(tensors):
     """Checkpoint files, packed by hand, that each copy the ordered {name:
-    ndarray} dict of a valid checkpoint but replace one metadata entry with a
+    ndarray} dict of a valid checkpoint but replace one entry with a
     bad one: an unknown dtype; a config that is not UTF-8, not JSON, not a JSON
     object, nested 100000 deep, breaks a spec range, has an unknown key or
     describes far more parameters than the file holds (k=100000, or 99999999
-    time-steps); a 2-element seed; and a fractional or negative epoch."""
+    time-steps); a 2-element seed; a fractional or negative epoch; and the
+    first parameter stored as float64, uint8 or int64 in a float32 file."""
     def text(data):
         return np.frombuffer(data, dtype=np.uint8)
 
@@ -79,6 +80,9 @@ def forged_metadata(tensors):
         {"__epoch__": np.asarray(1.5)},
         {"__epoch__": np.asarray(-1, dtype=np.int64)},
     ]
+    first = next(name for name in tensors if not name.startswith("__"))
+    bad += [{first: np.ones_like(tensors[first], dtype=dtype)}
+            for dtype in (np.float64, np.uint8, np.int64)]
     return [pack({**tensors, **entry}) for entry in bad]
 
 

@@ -97,9 +97,12 @@ class TestBuild:
     ("build", {"bottelneck": True}),
     ("train", {"train": {"epochs": 1, "augment": True}}),
     pytest.param("build", "[" * 100000, id="build-deeply-nested"),
+    pytest.param("build", None, id="build-without-config"),
 ])
 def test_malformed_config_exits_1_with_an_error_line(tmp_path, capsys, sub, overrides):
-    if isinstance(overrides, str):  # a whole document, not changes to TINY
+    if overrides is None:  # no --config flag at all
+        argv = [sub]
+    elif isinstance(overrides, str):  # a whole document, not changes to TINY
         (tmp_path / "model.json").write_text(overrides)
         argv = [sub, "--config", str(tmp_path / "model.json")]
     else:
@@ -119,6 +122,7 @@ def test_malformed_config_exits_1_with_an_error_line(tmp_path, capsys, sub, over
     ["--seed", "-1"],
     ["--synthetic-noise", "nan"],
     ["--synthetic-noise", "-1"],
+    ["--epochs", "abc"],
 ])
 def test_bad_train_flag_exits_1_with_an_error_line(tmp_path, capsys, flags):
     out = tmp_path / "run"
@@ -319,6 +323,7 @@ class TestVerifyOrder:
         ["--levels", "100000"],
         ["--levels", "2"],
         ["--levels", "40"],
+        ["--levels", "2.5"],
     ])
     def test_bad_flag_exits_1_naming_it_before_any_step_runs(self, tmp_path, capsys, flags):
         out = tmp_path / "orders.csv"

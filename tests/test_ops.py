@@ -150,7 +150,7 @@ class TestConv2d:
             tracemalloc.stop()
         m = n * (side + 2) ** 2
         gxf = c * m * 4
-        threads = parallel.width(range(0, m, ops.CONV_BLOCK), x.data.nbytes)
+        threads = parallel.width(range(0, m, ops.CONV_BLOCK))
         scratch = threads * 9 * o * min(ops.CONV_BLOCK, m) * 4
         assert peak <= gx.nbytes + gxf + gw.nbytes + scratch
 

@@ -38,14 +38,18 @@ for name in ("ERKNet-2x1_2x1", "IRKNet-2x1"):
 """
 
 
-def train_in_child(tmp_path, dtype, cpu):
-    out = tmp_path / f"{dtype}-{cpu}"
-    out.mkdir()
+def child_env():
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", CHILD, dtype, str(out), cpu], env=env, check=True,
-                   timeout=120)
+    return env
+
+
+def train_in_child(tmp_path, dtype, cpu):
+    out = tmp_path / f"{dtype}-{cpu}"
+    out.mkdir()
+    subprocess.run([sys.executable, "-c", CHILD, dtype, str(out), cpu], env=child_env(),
+                   check=True, timeout=120)
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
@@ -59,7 +63,7 @@ def test_checkpoints_do_not_depend_on_the_cpu_count(tmp_path, dtype):
 
 
 def pool_has_workers():
-    return parallel.width([0, 1], parallel.INLINE_BYTES) > 1
+    return parallel.width([0, 1]) > 1
 
 
 @pytest.mark.skipif(not TWO_CPUS, reason="needs two usable CPUs")
@@ -78,7 +82,7 @@ def test_error_is_raised_after_the_worker_stops_writing():
             target[k] = 1.0
 
     with pytest.raises(KeyError, match="chunk failed"):
-        parallel.run(chunk, [0, 1], parallel.INLINE_BYTES)
+        parallel.run(chunk, [0, 1])
     assert target.min() == 1.0
 
 
@@ -98,9 +102,9 @@ def test_a_worker_error_reaches_the_caller_and_stops_new_chunks():
         raise ValueError(f"chunk {i} failed in a worker")
 
     with pytest.raises(ValueError, match="failed in a worker"):
-        parallel.run(chunk, list(range(50)), parallel.INLINE_BYTES)
+        parallel.run(chunk, list(range(50)))
     assert len(ran) <= 2  # each thread started at most one chunk, none after the error
-    parallel.run(lambda i, slot: ran.append(i), [7, 8], parallel.INLINE_BYTES)
+    parallel.run(lambda i, slot: ran.append(i), [7, 8])
     assert sorted(ran[-2:]) == [7, 8]  # the pool still works after an error
 
 
@@ -111,18 +115,31 @@ def add_one(data):
 def test_every_chunk_runs_once_and_no_array_outlives_the_call():
     data = np.zeros(1000)
     alive = weakref.ref(data)
-    parallel.run(add_one(data), parallel.spans(len(data), 1 << 12), parallel.INLINE_BYTES)
+    parallel.run(add_one(data), parallel.spans(len(data), 1 << 12))
     assert np.all(data == 1)
     del data
     gc.collect()
     assert alive() is None  # no worker holds the chunk function after run returns
 
 
-def test_small_work_runs_on_the_calling_thread():
+def test_a_one_chunk_spans_list_runs_on_the_calling_thread():
+    chunks = parallel.spans(1000, 8)
+    assert len(chunks) == 1
     threads = set()
-    parallel.run(lambda i, slot: threads.add(threading.get_ident()), list(range(8)),
-                 parallel.INLINE_BYTES - 1)
+    parallel.run(lambda s, slot: threads.add(threading.get_ident()), chunks)
     assert threads == {threading.get_ident()}
+
+
+def test_a_one_chunk_run_starts_the_pool(monkeypatch):
+    # starting the pool is what pins BLAS to one thread, so the first op of
+    # a process pins it however small its work is
+    pins = []
+    pin = parallel._pin_blas_to_one_thread
+    monkeypatch.setattr(parallel, "_pin_blas_to_one_thread", lambda: pins.append(1) or pin())
+    monkeypatch.setattr(parallel, "_POOL", None)
+    parallel.run(lambda s, slot: None, [slice(0, 1)])
+    assert pins == [1]
+    assert parallel._POOL is not None and parallel._POOL.pid == os.getpid()
 
 
 def test_spans_cover_the_range_in_order():
@@ -142,7 +159,60 @@ def test_chunks_run_exactly_once_with_more_workers_than_cpus(monkeypatch):
     try:
         for _ in range(20):
             parallel.run(lambda i, slot: counts.__setitem__(i, counts[i] + 1),
-                         list(range(len(counts))), parallel.INLINE_BYTES)
+                         list(range(len(counts))))
     finally:
         sys.setswitchinterval(interval)
     assert np.all(counts == 20)
+
+
+# A worker's chunk interrupts the calling thread while ``run`` waits for that
+# worker, then keeps the worker in the abandoned job a little longer.  Three
+# more pooled calls follow, each with a slow chunk that a worker takes: each
+# must return only after every chunk was written.
+INTERRUPT_CHILD = """
+import signal, threading, time
+from rknet import parallel
+signal.signal(signal.SIGINT, signal.default_int_handler)
+main = threading.main_thread().ident
+worker_in = threading.Event()
+
+def interrupt(i, slot):
+    if slot == 0:   # the caller leaves its chunk once a worker has taken the other
+        assert worker_in.wait(10), "no worker took a chunk"
+        return
+    worker_in.set()
+    time.sleep(0.2)   # the caller is now waiting for this worker
+    signal.pthread_kill(main, signal.SIGINT)
+    time.sleep(0.3)
+
+try:
+    parallel.run(interrupt, [0, 1])
+    raise SystemExit("run was not interrupted")
+except KeyboardInterrupt:
+    pass
+for call in range(3):
+    written = [False, False]
+    worker_in = threading.Event()
+
+    def slow(i, slot):
+        if slot == 0:
+            assert worker_in.wait(10), "no worker took a chunk"
+        else:
+            worker_in.set()
+            time.sleep(0.2)
+        written[i] = True
+
+    parallel.run(slow, [0, 1])
+    assert written == [True, True], (call, written)
+print("ok")
+"""
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="needs two usable CPUs")
+def test_an_interrupt_while_waiting_leaves_the_pool_usable():
+    if not pool_has_workers():
+        pytest.skip("no BLAS thread setter found, so the pool runs inline")
+    done = subprocess.run([sys.executable, "-c", INTERRUPT_CHILD], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
