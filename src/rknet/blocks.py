@@ -46,9 +46,6 @@ class ParamStore:
         for p in self.params.values():
             p.zero_grad()
 
-    def total_size(self):
-        return sum(p.value.size for p in self.params.values())
-
 
 def he_normal(rng, shape):
     """Kaiming-normal init for conv kernels (fan_in from input channels * k * k)."""
@@ -97,9 +94,7 @@ class GrowthUnit:
 
     def __init__(self, store, prefix, in_ch, k, subnet, time_plane=False, rng=None):
         self.in_ch = in_ch
-        self.k = k
         self.subnet = subnet
-        self.time_plane = time_plane
         conv_in = in_ch + (1 if time_plane else 0)
         if subnet.linear_test_mode:
             self.w = store.add_param(f"{prefix}.conv.w", np.zeros((k, conv_in, 1, 1)))
@@ -158,14 +153,14 @@ class ErkStepBlock:
     def __init__(self, store, prefix, s, m, k, subnet=None, rng=None):
         self.s, self.m, self.k = s, m, k
         self.channels = m * k
-        self.subnet = subnet or SubnetConfig()
+        subnet = subnet or SubnetConfig()
         self.stages = []
         t = 0
         for i in range(s):
             units = []
             for j in range(m):
                 units.append(GrowthUnit(store, f"{prefix}.stage{i}.growth{j}",
-                                        self.channels + t * k, k, self.subnet, rng=rng))
+                                        self.channels + t * k, k, subnet, rng=rng))
                 t += 1
             self.stages.append(units)
 
@@ -199,12 +194,12 @@ class IrkStepBlock:
             raise ValueError(f"irk step needs s > 1 for alternate updating, got s={s}")
         self.s, self.k = s, k
         self.channels = k
-        self.subnet = subnet or SubnetConfig()
+        subnet = subnet or SubnetConfig()
         self.initializers = [
-            GrowthUnit(store, f"{prefix}.init{j}", (j + 1) * k, k, self.subnet, rng=rng)
+            GrowthUnit(store, f"{prefix}.init{j}", (j + 1) * k, k, subnet, rng=rng)
             for j in range(s)]
         self.updaters = [
-            GrowthUnit(store, f"{prefix}.update{i}", (s - 1) * k, k, self.subnet, rng=rng)
+            GrowthUnit(store, f"{prefix}.update{i}", (s - 1) * k, k, subnet, rng=rng)
             for i in range(s)]
 
     def forward(self, y, mode="train", dropout_p=0.0, rng=None):
@@ -241,11 +236,11 @@ class TimeChannelStepBlock:
     def __init__(self, store, prefix, m, k, subnet=None, rng=None, units=None):
         self.m, self.k = m, k
         self.channels = m * k
-        self.subnet = subnet or SubnetConfig()
+        subnet = subnet or SubnetConfig()
         # units may be shared across a period's steps; the step-size scalar never is
         self.units = units if units is not None else [
             GrowthUnit(store, f"{prefix}.growth{j}", self.channels + j * k, k,
-                       self.subnet, time_plane=True, rng=rng)
+                       subnet, time_plane=True, rng=rng)
             for j in range(m)]
         self.theta = store.add_param(f"{prefix}.log_step_ratio", np.zeros(()))
 
@@ -298,7 +293,6 @@ class TransitionLayer:
     gating, then 2x2 average pooling with stride 2."""
 
     def __init__(self, store, prefix, in_ch, out_ch, attentional=False, rng=None):
-        self.in_ch, self.out_ch = in_ch, out_ch
         self.bn = BatchNorm(store, f"{prefix}.bn", in_ch)
         self.w = store.add_param(f"{prefix}.conv.w", he_normal(rng, (out_ch, in_ch, 1, 1)))
         self.gate = AttentionalGate(store, f"{prefix}.gate", out_ch, rng) if attentional else None

@@ -48,7 +48,8 @@ def _resolve_data(arg, spec, seed, synthetic):
     if arg.startswith("cifar10:"):
         train, test = datamod.load_cifar10_binary(arg.split(":", 1)[1])
         return train, test
-    _fail(f"unknown data source {arg!r}; expected 'synthetic' or 'cifar10:<dir>'")
+    _fail(f"argument --data: unknown data source {arg!r}; expected 'synthetic' or "
+          f"'cifar10:<dir>'")
 
 
 def _check_data_shape(spec, dataset):
@@ -129,19 +130,22 @@ def cmd_eval(args):
 
 def _int_list(text, flag):
     try:
-        return [int(v) for v in text.split(",")]
+        values = [int(v) for v in text.split(",")]
+        if min(values) >= 1:
+            return values
     except ValueError:
-        _fail(f"{flag} expects comma-separated integers, got {text!r}")
+        pass
+    _fail(f"argument {flag}: expected comma-separated integers of at least 1, got {text!r}")
 
 
 def cmd_convert(args):
     if args.source == "densenet":
         if args.channels is None:
             _fail("--from densenet requires --channels (input width per block)")
-        spec = ms.convert_densenet(_int_list(args.layers, "--layers"), args.growth,
+        spec = ms.convert_densenet(_int_list(args.layers, "--layers"), args.growth_rate,
                                    _int_list(args.channels, "--channels"))
     else:
-        spec = ms.convert_cliquenet(_int_list(args.layers, "--layers"), args.growth)
+        spec = ms.convert_cliquenet(_int_list(args.layers, "--layers"), args.growth_rate)
     print(ms.render_model_name(spec))
     doc = json.dumps(ms.spec_to_config(spec), indent=2, sort_keys=True)
     if args.out:
@@ -157,10 +161,10 @@ def cmd_verify_order(args):
     problems = args.problem.split(",")
     for m in methods:
         if m not in rk.tableau_names():
-            _fail(f"unknown method {m!r}; known: {rk.tableau_names()}")
+            _fail(f"argument --methods: unknown method {m!r}; known: {rk.tableau_names()}")
     for p in problems:
         if p not in rk.problem_names():
-            _fail(f"unknown problem {p!r}; known: {rk.problem_names()}")
+            _fail(f"argument --problem: unknown problem {p!r}; known: {rk.problem_names()}")
     study = rk.OrderStudy(**_flagged(args, rk.OrderStudy))
     lines = ["method,problem,h,error,estimated_order"]
     for m in methods:
@@ -250,11 +254,12 @@ def build_parser():
     p.add_argument("--from", dest="source", required=True, choices=("densenet", "cliquenet"))
     p.add_argument("--layers", required=True,
                    help="growths per block, comma separated (e.g. 12,12,12)")
-    p.add_argument("--growth", type=int, required=True, help="growth rate k")
+    growth = p.add_argument("--growth", dest="growth_rate", type=int, required=True,
+                            help="growth rate k")
     p.add_argument("--channels", default=None,
                    help="densenet only: input width per block, comma separated")
     p.add_argument("--out", default=None, help="write the config JSON here instead of stdout")
-    p.set_defaults(func=cmd_convert)
+    p.set_defaults(func=cmd_convert, flags=_flag_names(growth))
 
     p = sub.add_parser("verify-order", help="measure integrator convergence orders")
     p.add_argument("--methods", default=",".join(rk.tableau_names()),

@@ -11,9 +11,9 @@ config file, not the name.
 A ``ModelSpec`` obeys the construction rules from the moment it exists: after
 reading its fields and checking their ranges, its constructor raises one
 ``InvalidSpecError`` that lists every broken rule (IRK Rules 1 and 3, the
-one-stage time-channel form, the dimension principle).  ``convert_densenet``
-raises the same error for ERK Rules 1 and 3, which constrain the DenseNet
-layout rather than the spec.
+one-stage time-channel form, the attentional gate's width, the dimension
+principle).  ``convert_densenet`` raises the same error for ERK Rules 1 and 3,
+which constrain the DenseNet layout rather than the spec.
 """
 
 import json
@@ -174,6 +174,12 @@ def _rule_violations(spec):
             violations.append(Violation(
                 "time-channel construction",
                 f"{where}: time-channel steps use the one-stage (Euler) form, got s={p.s}"))
+        if (p.attentional_transition and idx + 1 < len(spec.periods)
+                and (width := spec.periods[idx + 1].channels) < 2):
+            violations.append(Violation(
+                "attentional transition",
+                f"transition after {where}: the attentional gate needs at least 2 "
+                f"channels, the next period has {width}"))
     h, w = spec.input_shape[1], spec.input_shape[2]
     for idx in range(len(spec.periods)):
         if h < 2 or w < 2:
@@ -192,8 +198,13 @@ def _rule_violations(spec):
     return violations
 
 
-def convert_densenet(block_depths, growth_rate, input_channels_per_block,
-                     num_classes=10, input_shape=(3, 32, 32)):
+def _growth_rate(value):
+    if (k := int(value)) < 1:
+        raise ConfigError(f"growth_rate must be at least 1, got {value}", "growth_rate")
+    return k
+
+
+def convert_densenet(block_depths, growth_rate, input_channels_per_block):
     """Reinterpret a DenseNet layout as erk periods (r=1 each).
 
     Per block: the input width must be m*k for integer m (Rule 1) and the
@@ -203,9 +214,7 @@ def convert_densenet(block_depths, growth_rate, input_channels_per_block,
         raise ValueError(
             f"convert_densenet: {len(block_depths)} block depths but "
             f"{len(input_channels_per_block)} input widths")
-    k = int(growth_rate)
-    if k < 1:
-        raise ConfigError(f"convert_densenet: growth_rate must be at least 1, got {growth_rate}")
+    k = _growth_rate(growth_rate)
     periods = []
     for idx, (depth, ch) in enumerate(zip(block_depths, input_channels_per_block)):
         where = f"block {idx + 1}"
@@ -219,14 +228,14 @@ def convert_densenet(block_depths, growth_rate, input_channels_per_block,
                 "ERK Rule 3",
                 f"{where}: depth {depth} is not m*s growths for m={m}")])
         periods.append(PeriodSpec(s=depth // m, r=1, k=k, m=m, kind="erk"))
-    return ModelSpec(periods, num_classes=num_classes, input_shape=input_shape)
+    return ModelSpec(periods)
 
 
-def convert_cliquenet(stage1_layers, growth_rate, num_classes=10, input_shape=(3, 32, 32)):
+def convert_cliquenet(stage1_layers, growth_rate):
     """Reinterpret a CliqueNet layout as irk periods (r=1 each)."""
-    k = int(growth_rate)
+    k = _growth_rate(growth_rate)
     periods = [PeriodSpec(s=layers, r=1, k=k, m=1, kind="irk") for layers in stage1_layers]
-    return ModelSpec(periods, num_classes=num_classes, input_shape=input_shape)
+    return ModelSpec(periods)
 
 
 # ---------------------------------------------------------------------------

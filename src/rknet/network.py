@@ -48,9 +48,6 @@ class RkNetModel:
     def zero_grad(self):
         self.store.zero_grad()
 
-    def num_parameters(self):
-        return self.store.total_size()
-
     def time_channel_ratios(self):
         """(period_index, step_index, trained h_n/u) for time-channel steps."""
         rows = []

@@ -259,24 +259,3 @@ def estimate_order(tab, problem, h0, levels):
     """Empirical convergence order: mean of log2(err(h)/err(h/2)) over halvings."""
     return order_study(tab, problem, h0, levels)[2]
 
-
-@dataclass
-class ConditionCheck:
-    condition: str
-    passed: bool
-    residual: float
-
-
-CONDITION_TOL = 1e-12
-
-
-def check_tableau(tab):
-    """Verify consistency, the node convention, and order conditions up to 2."""
-    checks = []
-    r = abs(float(tab.b.sum()) - 1.0)
-    checks.append(ConditionCheck("consistency: sum(b) = 1", r <= CONDITION_TOL, r))
-    r = float(np.max(np.abs(tab.c - tab.a.sum(axis=1))))
-    checks.append(ConditionCheck("row sums: c_i = sum_j a_ij", r <= CONDITION_TOL, r))
-    r = abs(float(tab.b @ tab.c) - 0.5)
-    checks.append(ConditionCheck("order 2: sum(b_i c_i) = 1/2", r <= CONDITION_TOL, r))
-    return checks

@@ -3,7 +3,7 @@ learning-rate schedule, and the epoch loop with deterministic rng indexing.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,8 @@ from .tensor import NonFiniteError, Tape, backward, set_debug
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the loss turns non-finite (diagnostic names the first bad tensor)."""
+    """Raised when a batch loss (the diagnostic names the first bad tensor) or an
+    epoch's test loss turns non-finite."""
 
 
 @dataclass
@@ -72,21 +73,15 @@ def lr_at_epoch(config, epoch):
     return lr
 
 
-@dataclass
-class SgdState:
-    velocity: dict = field(default_factory=dict)
-
-
-def sgd_nesterov_step(params, state, lr, momentum, weight_decay):
+def sgd_nesterov_step(params, velocity, lr, momentum, weight_decay):
     """value <- value - lr * (g' + momentum * v) with v <- momentum * v + g'
-    and g' = grad + weight_decay * value (Nesterov form)."""
+    and g' = grad + weight_decay * value (Nesterov form); ``velocity`` maps
+    each parameter name to its v, which starts at 0."""
     for p in params:
-        if p.grad.shape != p.value.shape:
-            raise ValueError(f"{p.name}: grad shape {p.grad.shape} != value shape {p.value.shape}")
         g = p.grad.data + weight_decay * p.value.data
-        v = state.velocity.get(p.name)
+        v = velocity.get(p.name)
         if v is None:
-            v = state.velocity[p.name] = np.zeros_like(p.value.data)
+            v = velocity[p.name] = np.zeros_like(p.value.data)
         v *= momentum
         v += g
         p.value.data -= (lr * (g + momentum * v)).astype(p.value.data.dtype, copy=False)
@@ -122,7 +117,7 @@ def train_epochs(model, train_data, test_data, config, on_epoch_end=None):
     (seed, purpose, epoch, index), so reruns with the same seed are
     bit-identical regardless of batching or prefetch order.
     """
-    state = SgdState()
+    velocity = {}
     params = model.parameters()
     history = []
     for epoch in range(config.epochs):
@@ -142,11 +137,13 @@ def train_epochs(model, train_data, test_data, config, on_epoch_end=None):
                                           make_rng(config.seed, "dropout", epoch, b_idx),
                                           epoch, b_idx)
             backward(tape, loss)
-            sgd_nesterov_step(params, state, lr, config.momentum, config.weight_decay)
+            sgd_nesterov_step(params, velocity, lr, config.momentum, config.weight_decay)
             model.zero_grad()
             total_loss += float(loss.data) * len(idxs)
             total_correct += int((logits.data.argmax(axis=1) == labels).sum())
         test_loss, test_acc = evaluate(model, test_data)
+        if not math.isfinite(test_loss):  # the last update of a run is checked only here
+            raise TrainingDivergedError(f"non-finite test loss after epoch {epoch}")
         row = {
             "epoch": epoch,
             "lr": lr,

@@ -62,6 +62,15 @@ class TestBuild:
         assert captured.err.startswith("error: ") and "[IRK Rule 3]" in captured.err
         assert captured.out == ""
 
+    def test_attentional_gate_on_one_channel_exits_1_citing_rule(self, tmp_path, capsys):
+        # the gate halves its width, so one channel would leave it no hidden unit
+        cfg = write_config(tmp_path, **{"name": "ERKNet-1x1_1x1", "k": 1,
+                                        "attentional_transition": [True, False]})
+        assert cli.main(["build", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "[attentional transition]" in captured.err
+        assert captured.out == ""
+
     def test_summary_off_prints_single_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert cli.main(["build", "--config", cfg, "--no-print-summary"]) == 0
@@ -192,7 +201,7 @@ FUZZ_VALUES = ["", "1", "irk", "false", True, False, None, 0, -1, 2.5, float("na
                float("inf"), [], [1], [True, "x"]]
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.sampled_from(FUZZ_SLOTS), st.sampled_from(FUZZ_VALUES))
 def test_config_fuzz_exits_0_or_1_with_an_error_line(slot, value):
     section, key = slot
@@ -214,6 +223,66 @@ def test_config_fuzz_exits_0_or_1_with_an_error_line(slot, value):
                 assert not os.path.exists(out)
 
 
+# each command's flags that take a value, other than the paths it reads or writes
+FLAG_SLOTS = [("build", "--print-summary")] + [
+    ("train", flag) for flag in ("--data", "--synthetic-noise", "--synthetic-train",
+                                 "--synthetic-test", "--seed", "--epochs", "--batch-size",
+                                 "--lr", "--augment", "--dropout")] + [
+    ("eval", flag) for flag in ("--data", "--synthetic-noise", "--synthetic-train",
+                                "--synthetic-test")] + [
+    ("convert", flag) for flag in ("--from", "--layers", "--growth", "--channels")] + [
+    ("verify-order", flag) for flag in ("--methods", "--problem", "--h0", "--levels")]
+FLAG_VALUES = ["NaN", "Infinity", "-Infinity", "0", "-1", "1e-300", "1e300", "x"]
+
+
+@pytest.fixture(scope="module")
+def flag_fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("flags")
+    write_config(root)
+    network.save_checkpoint(network.build_model(ms.spec_from_config(TINY)), root / "tiny.ckpt")
+    return root
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(FLAG_SLOTS), st.sampled_from(FLAG_VALUES))
+def test_flag_fuzz_exits_0_names_the_flag_or_reports_divergence(flag_fuzz_files, slot, value):
+    command, flag = slot
+    cfg, ckpt = str(flag_fuzz_files / "model.json"), str(flag_fuzz_files / "tiny.ckpt")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        argv = {"build": ["build", "--config", cfg],
+                "train": ["train", "--config", cfg, "--data", "synthetic", "--synthetic-train",
+                          "2", "--synthetic-test", "1", "--epochs", "1", "--out", out],
+                "eval": ["eval", "--checkpoint", ckpt, "--data", "synthetic",
+                         "--synthetic-test", "1"],
+                "convert": ["convert", "--from", "densenet", "--layers", "2", "--growth", "2",
+                            "--channels", "2", "--out", out],
+                "verify-order": ["verify-order", "--methods", "euler", "--problem", "decay",
+                                 "--h0", "0.5", "--levels", "3", "--out", out]}[command]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main([*argv, f"{flag}={value}"])  # the last value of a flag wins
+        err = stderr.getvalue()
+        last = err.splitlines()[-1] if err else ""  # numpy may warn before the error line
+        if code == 1:
+            assert last.startswith(f"error: argument {flag}"), err
+            assert not os.path.exists(out)
+        elif code == 2:  # a setting the flag accepts, on a run that diverges
+            assert command == "train" and last.startswith("error: non-finite"), err
+        else:
+            assert code == 0, err
+        # a failed run leaves no file behind (no temp file either), a finished
+        # one its whole outputs, with finite weights
+        written = sorted(os.path.relpath(os.path.join(d, f), tmp)
+                         for d, _, files in os.walk(tmp) for f in files)
+        outputs = {"train": ["out/best.ckpt", "out/final.ckpt", "out/metrics.csv"],
+                   "convert": ["out"], "verify-order": ["out"]}
+        assert written == (outputs.get(command, []) if code == 0 else [])
+        if command == "train" and code == 0:
+            model = network.load_checkpoint(os.path.join(out, "final.ckpt"))
+            assert all(np.isfinite(p.value.data).all() for p in model.parameters())
+
+
 FUZZ_MODEL = {"name": "RKNet-1x1", "k": 1, "input_shape": [1, 2, 2], "num_classes": 2}
 
 
@@ -224,7 +293,7 @@ def fuzz_checkpoint(tmp_path_factory):
     return path.read_bytes()
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(st.data())
 def test_checkpoint_fuzz_loads_or_exits_2(fuzz_checkpoint, data):
     # a flipped, truncated or lengthened checkpoint loads, or fails as a
@@ -366,6 +435,18 @@ class TestTrainEvalInspect:
         _, out_b = self._train(tmp_path, "b", seed="7")
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
         assert (out_a / "final.ckpt").read_bytes() == (out_b / "final.ckpt").read_bytes()
+
+    def test_run_whose_last_update_diverges_exits_2(self, tmp_path, capsys):
+        # every batch loss is finite; only the update after the last batch blows up
+        cfg = write_config(tmp_path, k=2)
+        out = tmp_path / "run"
+        code = cli.main(["train", "--config", cfg, "--data", "synthetic", "--synthetic-train",
+                         "4", "--synthetic-test", "2", "--epochs", "1", "--lr", "1e300",
+                         "--out", str(out)])
+        assert code == 2
+        last = capsys.readouterr().err.splitlines()[-1]  # numpy may warn before it
+        assert last.startswith("error: non-finite test loss after epoch 0")
+        assert list(out.iterdir()) == []
 
     def test_zero_epochs_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

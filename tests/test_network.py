@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from rknet import model_spec as ms
 from rknet import network, ops
@@ -35,7 +37,7 @@ class TestBuildModel:
 
     def test_built_count_matches_analytic(self):
         spec = ms.spec_from_config(TINY)
-        assert build().num_parameters() == ms.count_parameters(spec)
+        assert sum(p.value.size for p in build().parameters()) == ms.count_parameters(spec)
 
     def test_irknet_3x1_k36_state_channels(self):
         cfg = {"name": "IRKNet-3x1_3x1_3x1", "k": 36, "m": 1, "input_shape": [3, 32, 32]}
@@ -160,6 +162,57 @@ class TestEndToEndGradients:
         sample = [p for p in model.parameters()][::3]  # every third tensor
         worst = fd_gradcheck(loss_fn, sample, rng, n_coords=6)
         assert worst < 1e-4, f"max relative FD error {worst}"
+
+
+@st.composite
+def tiny_configs(draw):
+    """One or two 4x4 periods over every kind and flag; many break a rule."""
+    n = draw(st.integers(1, 2))
+
+    def per_period(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    pairs = per_period(st.tuples(st.integers(1, 2), st.integers(1, 2)))
+    return {"name": ms.render_model_name(pairs), "kind": per_period(st.sampled_from(ms.KINDS)),
+            "k": per_period(st.integers(1, 3)), "m": per_period(st.integers(1, 2)),
+            "bottleneck": per_period(st.booleans()),
+            "attentional_transition": per_period(st.booleans()),
+            "multiscale": draw(st.booleans()), "share_weights": draw(st.booleans()),
+            "input_shape": [3, 4, 4], "num_classes": 3}
+
+
+@settings(max_examples=60)
+@given(tiny_configs(), st.integers(0, 2**16))
+def test_random_architectures_build_and_match_the_gradient_oracle(cfg, seed):
+    try:
+        spec = ms.spec_from_config(cfg)
+    except ms.InvalidSpecError:
+        reject()
+    model = network.build_model(spec, seed=seed, dtype="float64")  # an accepted spec must build
+    rng = np.random.default_rng(seed)
+    x = batch(rng, n=3, shape=(3, 4, 4), dtype=np.float64)
+    labels = [0, 2, 1]
+
+    def loss_fn():
+        logits, _ = network.forward(model, x, mode="train")
+        return ops.softmax_cross_entropy(logits, labels).data
+
+    with Tape() as tape:
+        loss = ops.softmax_cross_entropy(network.forward(model, x, mode="train")[0], labels)
+    backward(tape, loss)
+    params = model.parameters()
+    sample = [params[i] for i in rng.choice(len(params), size=min(6, len(params)), replace=False)]
+    # a ReLU input within h of 0 spoils the difference at one step size (about one
+    # draw in 400 at 1e-5), a wrong gradient at both; the coordinates are the same
+    worst = min(fd_gradcheck(loss_fn, sample, np.random.default_rng(seed), n_coords=2, h=h)
+                for h in (1e-5, 1e-6))
+    assert worst < 1e-4, f"max relative FD error {worst}"
+
+    # eval logits of a batch are the logits of its images taken one at a time
+    whole = network.forward(model, x, mode="eval")[0].data
+    alone = np.concatenate([network.forward(model, x[i:i + 1], mode="eval")[0].data
+                            for i in range(len(x))])
+    assert np.max(np.abs(whole - alone)) <= 1e-10 * np.max(np.abs(whole))
 
 
 class TestCheckpoints:

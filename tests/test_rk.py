@@ -177,26 +177,3 @@ class TestEstimateOrder:
     def test_level_floor(self):
         with pytest.raises(ValueError, match="3 levels"):
             rk.estimate_order(rk.tableau_library("euler"), DECAY, 0.1, 2)
-
-
-class TestCheckTableau:
-    def _by_name(self, checks):
-        return {c.condition.split(":")[0]: c for c in checks}
-
-    def test_euler_fails_order_two_only(self):
-        result = self._by_name(rk.check_tableau(rk.tableau_library("euler")))
-        assert result["consistency"].passed
-        assert result["row sums"].passed
-        assert not result["order 2"].passed
-        assert result["order 2"].residual == pytest.approx(0.5)  # sum(b_i c_i) = 0
-
-    def test_heun_passes_order_two(self):
-        result = self._by_name(rk.check_tableau(rk.tableau_library("heun")))
-        assert all(c.passed for c in result.values())
-
-    def test_tampered_rk4_weights(self):
-        base = rk.tableau_library("rk4")
-        tampered = rk.ButcherTableau("rk4-tampered", base.a, [1.0, 0.0, 0.0, 0.0], base.c)
-        result = self._by_name(rk.check_tableau(tampered))
-        assert result["consistency"].passed
-        assert not result["order 2"].passed

@@ -107,14 +107,14 @@ class TestLrSchedule:
 class TestSgdNesterov:
     def test_zero_grad_zero_velocity_is_fixed_point(self):
         p = Parameter(Tensor(np.array([1.0, -2.0]), dtype="float64"), "p")
-        state = T.SgdState()
+        state = {}
         T.sgd_nesterov_step([p], state, lr=0.1, momentum=0.9, weight_decay=0.0)
         assert np.array_equal(p.value.data, [1.0, -2.0])
 
     def test_zero_momentum_is_plain_sgd(self):
         p = Parameter(Tensor(np.array([1.0]), dtype="float64"), "p")
         p.grad.data[...] = 0.5
-        T.sgd_nesterov_step([p], T.SgdState(), lr=0.2, momentum=0.0, weight_decay=0.0)
+        T.sgd_nesterov_step([p], {}, lr=0.2, momentum=0.0, weight_decay=0.0)
         assert p.value.data[0] == pytest.approx(1.0 - 0.2 * 0.5, abs=1e-15)
 
     def test_two_steps_match_hand_unrolled_recurrence(self):
@@ -129,7 +129,7 @@ class TestSgdNesterov:
             trace.append(w)
 
         p = Parameter(Tensor(np.array([5.0]), dtype="float64"), "w")
-        state = T.SgdState()
+        state = {}
         got = []
         for _ in range(2):
             p.grad.data[...] = p.value.data - 3.0
@@ -140,7 +140,7 @@ class TestSgdNesterov:
 
     def test_weight_decay_shrinks_parameters_with_zero_grads(self):
         p = Parameter(Tensor(np.array([2.0, -1.0, 0.5]), dtype="float64"), "p")
-        state = T.SgdState()
+        state = {}
         norms = [float(np.linalg.norm(p.value.data))]
         for _ in range(5):
             T.sgd_nesterov_step([p], state, lr=0.1, momentum=0.9, weight_decay=0.01)
