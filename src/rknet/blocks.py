@@ -2,8 +2,8 @@
 a clique block (irk), or a time-channel Euler step, plus transitions.
 
 A step block maps the state y_n to y_{n+1} = y_n + sum of per-stage increment
-groups; the groups are produced by convolutional subnetworks wired exactly as
-the stage structure of the corresponding Runge-Kutta family dictates.  All
+groups, produced by convolutional subnetworks wired as the stage structure of
+the Runge-Kutta family dictates; that summation layer is one ``ops.add``.  All
 three kinds share one dense-growth rule (``_dense_growth``): growth unit t
 reads concat(y_n, outputs of units 0..t-1) and emits k channels.  erk runs it
 for every stage, irk for its Stage-I initializers, time-channel for its units.
@@ -173,10 +173,7 @@ class ErkStepBlock:
             with op_scope(f"stage{i}"):
                 groups.append(_concat(_dense_growth(feats, units, mode=mode,
                                                     dropout_p=dropout_p, rng=rng)))
-        y_next = y
-        for g in groups:
-            y_next = ops.add(y_next, g)
-        return y_next, groups
+        return ops.add(y, *groups), groups
 
 
 class IrkStepBlock:
@@ -216,10 +213,7 @@ class IrkStepBlock:
                 # not a channel prefix of one list, so Stage-II keeps its own concat
                 x = _concat(updated[:i] + initials[i + 1:])
                 updated.append(unit.forward(x, mode=mode, dropout_p=dropout_p, rng=rng))
-        y_next = y
-        for g in updated:
-            y_next = ops.add(y_next, g)
-        return y_next, initials, updated
+        return ops.add(y, *updated), initials, updated
 
 
 class TimeChannelStepBlock:

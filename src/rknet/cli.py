@@ -12,6 +12,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import data as datamod
 from . import model_spec as ms
 from . import network, rk
@@ -100,12 +102,13 @@ def cmd_train(args):
         _fail(f"augment needs 32x32 images, config has input_shape {spec.input_shape}")
     model = network.build_model(spec, seed=config.seed)
 
-    os.makedirs(args.out, exist_ok=True)
     best = {"acc": -1.0}
 
     def on_epoch_end(m, row):
         if row["test_acc"] > best["acc"]:
             best["acc"] = row["test_acc"]
+            # the first write of a run, so a run that fails before it leaves no --out
+            os.makedirs(args.out, exist_ok=True)
             network.save_checkpoint(m, os.path.join(args.out, "best.ckpt"))
 
     history = trainmod.train_epochs(model, train_data, test_data, config,
@@ -282,7 +285,8 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):   # non-finite results are reported by one error line
+            return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except ms.ConfigError as exc:

@@ -315,10 +315,15 @@ def exp(x):
     return _emit((x,), e, lambda g: (g * e,), "exp")
 
 
-def add(a, b):
-    if a.shape != b.shape:
-        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return _emit((a, b), a.data + b.data, lambda g: (g, g), "add")
+def add(a, b, *rest):
+    """((a + b) + c) + ... of one dtype into one array and one tape node; each gradient is gout."""
+    terms = (a, b, *rest)
+    if any(t.shape != a.shape for t in terms):
+        raise ShapeError(f"add shape mismatch: {' vs '.join(str(t.shape) for t in terms)}")
+    out = a.data + b.data
+    for t in rest:
+        out += t.data
+    return _emit(terms, out, lambda g: (g,) * len(terms), "add")
 
 
 def scale(x, c):

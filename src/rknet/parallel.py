@@ -18,6 +18,8 @@ calling thread, through the same loop.  So does a pass of one chunk, which is
 what ``spans`` makes of work below ``CHUNK_BYTES``.
 """
 
+import contextlib
+import contextvars
 import ctypes
 import os
 import queue
@@ -46,12 +48,13 @@ def _pin_blas_to_one_thread():
 
 
 class _Job:
-    """One ``run`` call: the shared chunk iterator, an error a chunk raised, and
-    the queue on which each worker reports that it has left the job."""
+    """One ``run`` call: the shared chunk iterator, the caller's context, an error
+    a chunk raised, and the queue on which each worker reports that it has left the job."""
 
     def __init__(self, fn, chunks):
         self.fn = fn
         self.chunks = iter(chunks)
+        self.context = contextvars.copy_context()
         self.error = None
         self.left = queue.SimpleQueue()
 
@@ -71,7 +74,7 @@ class _Pool:
 
     def __init__(self):
         self.pid = os.getpid()
-        self.busy = threading.Lock()   # one job at a time; a concurrent caller runs inline
+        self.busy = threading.RLock()   # one job at a time; a concurrent caller runs inline
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         self.workers = (cpus or 1) - 1 if _pin_blas_to_one_thread() else 0
         self.jobs = queue.SimpleQueue()
@@ -81,7 +84,7 @@ class _Pool:
     def _serve(self, slot):
         while True:
             job = self.jobs.get()
-            job.work(slot)
+            job.context.copy().run(job.work, slot)   # the caller's np.errstate; one copy per thread
             left, job = job.left, None   # so the chunk function's arrays do not outlive ``run``
             left.put(None)
 
@@ -113,20 +116,21 @@ def run(fn, chunks):
     """
     pool = _pool()
     job = _Job(fn, chunks)
-    if width(chunks) > 1 and pool.busy.acquire(blocking=False):
-        try:
-            for _ in range(pool.workers):
-                pool.jobs.put(job)
-            job.work(0)
-            for _ in range(pool.workers):
-                job.left.get()
-        except BaseException as exc:
-            job.error = exc
-            raise
-        finally:
-            pool.busy.release()
-    else:
+    pooled = width(chunks) > 1
+    try:   # from the acquire on, so an interrupt right after it still releases busy
+        workers = pool.workers if pooled and pool.busy.acquire(blocking=False) else 0
+        for _ in range(workers):
+            pool.jobs.put(job)
         job.work(0)
+        for _ in range(workers):
+            job.left.get()
+    except BaseException as exc:
+        job.error = exc
+        raise
+    finally:
+        if pooled:
+            with contextlib.suppress(RuntimeError):   # an RLock held by another thread
+                pool.busy.release()
     if job.error is not None:
         raise job.error
 

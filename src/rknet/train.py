@@ -17,7 +17,7 @@ from .tensor import NonFiniteError, Tape, backward, set_debug
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a batch loss (the diagnostic names the first bad tensor) or an
-    epoch's test loss turns non-finite."""
+    evaluation's mean loss turns non-finite."""
 
 
 @dataclass
@@ -141,9 +141,8 @@ def train_epochs(model, train_data, test_data, config, on_epoch_end=None):
             model.zero_grad()
             total_loss += float(loss.data) * len(idxs)
             total_correct += int((logits.data.argmax(axis=1) == labels).sum())
-        test_loss, test_acc = evaluate(model, test_data)
-        if not math.isfinite(test_loss):  # the last update of a run is checked only here
-            raise TrainingDivergedError(f"non-finite test loss after epoch {epoch}")
+        model.epoch = epoch + 1
+        test_loss, test_acc = evaluate(model, test_data)   # checks the epoch's last update
         row = {
             "epoch": epoch,
             "lr": lr,
@@ -153,14 +152,13 @@ def train_epochs(model, train_data, test_data, config, on_epoch_end=None):
             "test_acc": test_acc,
         }
         history.append(row)
-        model.epoch = epoch + 1
         if on_epoch_end is not None:
             on_epoch_end(model, row)
     return history
 
 
 def evaluate(model, data, batch_size=256):
-    """Mean loss and accuracy in eval mode (no augmentation, no dropout)."""
+    """Mean loss and accuracy in eval mode (no augmentation, no dropout); checked finite."""
     total_loss, total_correct = 0.0, 0
     for start in range(0, len(data), batch_size):
         x = data.images[start:start + batch_size]
@@ -169,6 +167,8 @@ def evaluate(model, data, batch_size=256):
         loss = ops.softmax_cross_entropy(logits, labels)
         total_loss += float(loss.data) * len(labels)
         total_correct += int((logits.data.argmax(axis=1) == labels).sum())
+    if not math.isfinite(total_loss):
+        raise TrainingDivergedError(f"non-finite test loss; epochs trained: {model.epoch}")
     return total_loss / len(data), total_correct / len(data)
 
 

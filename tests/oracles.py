@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own computational paths: convolution is
 a triple-loop sliding window, batchnorm a two-pass statistic, gradients come
-from central finite differences, the integrator-equivalence weights are
-derived by direct linear algebra on the stage equations, and a step's
-parameter count is summed growth unit by growth unit.
+from central finite differences (with a check for a ReLU kink within the
+step), the integrator-equivalence weights are derived by direct linear algebra
+on the stage equations, and a step's parameter count is summed growth unit by
+growth unit.
 """
 
 import json
@@ -155,13 +156,60 @@ def naive_softmax_cross_entropy(logits, labels):
     return float(np.mean([-np.log(probs[i, lab]) for i, lab in enumerate(labels)]))
 
 
+def nearest_relu_input(loss_fn, param, index, h):
+    """The smallest |ReLU input| over the two evaluations of ``fd_gradcheck``'s
+    central difference at flat ``index`` of ``param`` (its value + h and - h).
+
+    Within h of 0, the difference may straddle the ReLU's kink, so a large
+    relative error there need not be a gradient error."""
+    flat = param.value.data.reshape(-1)
+    orig, relu, seen = flat[index], ops.relu, [np.inf]
+
+    def watched(x):
+        seen.append(float(np.min(np.abs(x.data), initial=np.inf)))
+        return relu(x)
+
+    ops.relu = watched
+    try:
+        for value in (orig + h, orig - h):
+            flat[index] = value
+            loss_fn()
+    finally:
+        flat[index] = orig
+        ops.relu = relu
+    return min(seen)
+
+
+class GradcheckResult(float):
+    """``fd_gradcheck``'s worst relative error.  Printed, it also names the
+    worst coordinate and says whether a ReLU input lay within h of 0 in its
+    evaluations (``nearest_relu_input``, run only when printed)."""
+
+    def __new__(cls, worst, where=None):
+        self = super().__new__(cls, worst)
+        self.where = where   # (loss_fn, param, flat index, h) of the worst coordinate
+        return self
+
+    def __repr__(self):
+        if self.where is None:
+            return float.__repr__(self)
+        loss_fn, param, index, h = self.where
+        near = nearest_relu_input(loss_fn, param, index, h)
+        return (f"{float.__repr__(self)} at {param.name}[{index}]; "
+                f"{'a' if near <= h else 'no'} ReLU input within h={h:g} of 0 "
+                f"(nearest {near:.1e})")
+
+    __str__ = __repr__
+
+
 def fd_gradcheck(loss_fn, params, rng, n_coords=50, h=1e-5):
-    """Max relative error between Parameter.grad and central differences.
+    """Max relative error between Parameter.grad and central differences, as
+    a ``GradcheckResult``.
 
     ``loss_fn`` must run the forward pass afresh (no tape needed); grads must
     already be populated on the parameters.
     """
-    worst = 0.0
+    worst, where = 0.0, None
     for p in params:
         flat_v = p.value.data.reshape(-1)
         flat_g = p.grad.data.reshape(-1)
@@ -177,8 +225,9 @@ def fd_gradcheck(loss_fn, params, rng, n_coords=50, h=1e-5):
             fd = (lp - lm) / (2 * h)
             g = float(flat_g[i])
             rel = abs(g - fd) / max(abs(g), abs(fd), 1e-6)
-            worst = max(worst, rel)
-    return worst
+            if rel > worst:
+                worst, where = rel, (loss_fn, p, int(i), h)
+    return GradcheckResult(worst, where)
 
 
 def wire_erk_linear(block, tab, mat, h):

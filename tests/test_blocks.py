@@ -94,6 +94,21 @@ class TestErkStepBlock:
         assert np.allclose(y_next.data, y.data + sum(g.data for g in groups))
 
 
+@pytest.mark.parametrize("kind", ["erk", "irk"])
+def test_summation_layer_is_one_add_node_in_stage_order(kind):
+    store, blk = build_erk(s=3, m=2) if kind == "erk" else build_irk(s=3)
+    y = rand_state(np.random.default_rng(12), blk.channels)
+    with Tape() as tape:
+        y_next, *_, groups = blk.forward(y, mode="train", dropout_p=0.2, rng=make_rng(0, "sum"))
+    adds = [node for node in tape._nodes if node.backward_fn.__qualname__.startswith("add.")]
+    assert len(adds) == 1
+    assert adds[0].inputs == (y, *groups) and adds[0].output is y_next
+    chain = y.data
+    for g in groups:
+        chain = chain + g.data
+    assert np.array_equal(y_next.data, chain)   # ((y + g_0) + g_1) + g_2, bit for bit
+
+
 class TestIrkStepBlock:
     def test_zero_update_weights_make_identity(self):
         store, blk = build_irk(s=3, k=4, seed=5)

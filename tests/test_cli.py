@@ -5,8 +5,11 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from oracles import forged_checkpoints, forged_headers, forged_metadata
 
 TINY = {"name": "ERKNet-1x1", "k": 4, "input_shape": [3, 8, 8], "num_classes": 4}
 SYN = ["--synthetic-train", "32", "--synthetic-test", "8"]
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, filename="model.json", **overrides):
@@ -263,12 +267,13 @@ def test_flag_fuzz_exits_0_names_the_flag_or_reports_divergence(flag_fuzz_files,
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = cli.main([*argv, f"{flag}={value}"])  # the last value of a flag wins
         err = stderr.getvalue()
-        last = err.splitlines()[-1] if err else ""  # numpy may warn before the error line
+        last = err.splitlines()[-1] if err else ""
+        assert len(err.splitlines()) <= 1, err
         if code == 1:
             assert last.startswith(f"error: argument {flag}"), err
             assert not os.path.exists(out)
-        elif code == 2:  # a setting the flag accepts, on a run that diverges
-            assert command == "train" and last.startswith("error: non-finite"), err
+        elif code == 2:  # a setting the flag accepts, on a run that diverges or data that overflows
+            assert command in ("train", "eval") and last.startswith("error: non-finite"), err
         else:
             assert code == 0, err
         # a failed run leaves no file behind (no temp file either), a finished
@@ -413,6 +418,32 @@ class TestVerifyOrder:
                 assert steps <= rk.MAX_STUDY_STEPS
 
 
+def run_cli_process(*argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "rknet.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# conv2d runs inline on the 8x8 model; at 32x32 its column blocks go to the
+# pool's workers, whose numpy error state is the caller's only if run passes it on
+@pytest.mark.parametrize("size", [8, 32], ids=["inline", "pooled"])
+def test_a_failing_run_prints_exactly_one_stderr_line(tmp_path, size):
+    cfg = {**TINY, "input_shape": [3, size, size]}
+    path = write_config(tmp_path, **cfg)
+    ckpt = tmp_path / "model.ckpt"
+    network.save_checkpoint(network.build_model(ms.spec_from_config(cfg)), ckpt)
+    for argv in (["train", "--config", path, "--data", "synthetic", "--synthetic-train", "4",
+                  "--synthetic-test", "2", "--epochs", "1", "--lr", "1e300",
+                  "--out", str(tmp_path / "run")],
+                 ["eval", "--checkpoint", str(ckpt), "--data", "synthetic",
+                  "--synthetic-test", "2", "--synthetic-noise", "1e300"]):
+        done = run_cli_process(*argv)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.splitlines() == [done.stderr.strip()], done.stderr
+        assert done.stderr.startswith("error: non-finite test loss")
+
+
 class TestTrainEvalInspect:
     def _train(self, tmp_path, out_name, seed="0", extra=(), cfg_over=None):
         cfg = write_config(tmp_path, **(cfg_over or {}))
@@ -439,14 +470,28 @@ class TestTrainEvalInspect:
     def test_run_whose_last_update_diverges_exits_2(self, tmp_path, capsys):
         # every batch loss is finite; only the update after the last batch blows up
         cfg = write_config(tmp_path, k=2)
-        out = tmp_path / "run"
-        code = cli.main(["train", "--config", cfg, "--data", "synthetic", "--synthetic-train",
-                         "4", "--synthetic-test", "2", "--epochs", "1", "--lr", "1e300",
-                         "--out", str(out)])
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("earlier run")
+        for out in (tmp_path / "run", kept):
+            code = cli.main(["train", "--config", cfg, "--data", "synthetic", "--synthetic-train",
+                             "4", "--synthetic-test", "2", "--epochs", "1", "--lr", "1e300",
+                             "--out", str(out)])
+            assert code == 2
+            assert capsys.readouterr().err == "error: non-finite test loss; epochs trained: 1\n"
+        assert not (tmp_path / "run").exists()   # the directory is made at the first write
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+        assert (kept / "notes.txt").read_text() == "earlier run"
+
+    def test_eval_on_non_finite_inputs_exits_2(self, tmp_path, capsys):
+        _, out = self._train(tmp_path, "run")
+        capsys.readouterr()
+        code = cli.main(["eval", "--checkpoint", str(out / "final.ckpt"), "--data", "synthetic",
+                         *SYN, "--synthetic-noise", "1e300"])
         assert code == 2
-        last = capsys.readouterr().err.splitlines()[-1]  # numpy may warn before it
-        assert last.startswith("error: non-finite test loss after epoch 0")
-        assert list(out.iterdir()) == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite test loss; epochs trained: 2\n"
 
     def test_zero_epochs_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -376,6 +376,26 @@ class TestStructuralOps:
         backward(tape, loss)
         assert fd_gradcheck(lambda: compute().data, [a, b], rng, n_coords=15) < 1e-4
 
+    def test_add_sums_left_to_right_into_one_node(self):
+        rng = np.random.default_rng(20)
+        xs = [Tensor(rng.normal(size=(2, 3, 4, 4)) * 10.0 ** e, dtype="float32")
+              for e in (0, 7, -7, 3)]
+        with Tape() as tape:
+            out = ops.add(*xs)
+        assert len(tape) == 1
+        chain = xs[0].data
+        for x in xs[1:]:
+            chain = chain + x.data
+        assert out.data.dtype == np.float32 and np.array_equal(out.data, chain)
+        gout = rng.normal(size=out.shape).astype(np.float32)
+        gins = tape._nodes[0].backward_fn(gout)
+        assert len(gins) == 4 and all(g is gout for g in gins)
+
+    def test_add_names_every_shape_when_any_term_mismatches(self):
+        a = Tensor(np.ones((2, 2)))
+        with pytest.raises(ShapeError, match=r"\(2, 2\) vs \(2, 2\) vs \(2, 3\)"):
+            ops.add(a, a, Tensor(np.ones((2, 3))))
+
     def test_sigmoid_symmetry_point(self):
         assert ops.sigmoid(Tensor(np.zeros(3), dtype="float64")).data[0] == 0.5
 

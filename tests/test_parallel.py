@@ -216,3 +216,62 @@ def test_an_interrupt_while_waiting_leaves_the_pool_usable():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+class AcquireThenInterrupt:
+    """Stands in for the pool's ``busy`` lock: takes the real one, then raises
+    as an interrupt that lands right after the acquire would."""
+
+    def __init__(self, lock):
+        self.lock = lock
+
+    def acquire(self, blocking=True):
+        self.lock.acquire(blocking)
+        raise KeyboardInterrupt
+
+    def release(self):
+        self.lock.release()
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="needs two usable CPUs")
+def test_an_interrupt_right_after_the_acquire_leaves_the_pool_free(monkeypatch):
+    if not pool_has_workers():
+        pytest.skip("no BLAS thread setter found, so the pool runs inline")
+    pool = parallel._pool()
+    monkeypatch.setattr(pool, "busy", AcquireThenInterrupt(pool.busy))
+    with pytest.raises(KeyboardInterrupt):
+        parallel.run(lambda i, slot: None, [0, 1])
+    monkeypatch.undo()
+    worker_in = threading.Event()
+
+    def chunk(i, slot):   # the caller waits in its chunk until a worker has taken the other
+        if slot == 0:
+            worker_in.wait(5)
+        else:
+            worker_in.set()
+
+    parallel.run(chunk, [0, 1])
+    assert worker_in.is_set(), "busy stayed held, so the run went inline"
+
+
+def test_a_caller_that_finds_the_pool_busy_runs_inline_and_leaves_the_lock_alone():
+    pool = parallel._pool()
+    held, done = threading.Event(), threading.Event()
+
+    def holder():
+        with pool.busy:
+            held.set()
+            done.wait(10)
+
+    thread = threading.Thread(target=holder)
+    thread.start()
+    try:
+        assert held.wait(10)
+        slots = []
+        parallel.run(lambda i, slot: slots.append(slot), [0, 1, 2])
+        assert slots == [0, 0, 0]
+        assert not pool.busy.acquire(blocking=False)   # still the other thread's
+    finally:
+        done.set()
+        thread.join(10)
+    assert not thread.is_alive()
