@@ -7,10 +7,13 @@ the Runge-Kutta family dictates; that summation layer is one ``ops.add``.  All
 three kinds share one dense-growth rule (``_dense_growth``): growth unit t
 reads concat(y_n, outputs of units 0..t-1) and emits k channels.  erk runs it
 for every stage, irk for its Stage-I initializers, time-channel for its units.
-irk Stage-II is the one read that is not a prefix of that list.  With
-``linear_test_mode`` every growth unit collapses to a single bias-free 1x1
-convolution so the whole step becomes an affine map that can be compared
-against a classical integrator.
+irk Stage-II is the one read that is not a prefix of that list.  Every
+BN -> ReLU -> conv -> dropout sequence, in growth units, both bottleneck
+halves and transitions, is one pre-activation unit (``_preact_conv``; He et
+al., arXiv:1603.05027), the increment a residual step reads as forward
+Euler.  With ``linear_test_mode`` every growth unit collapses to a single
+bias-free 1x1 convolution so the whole step becomes an affine map that can be
+compared against a classical integrator.
 """
 
 from dataclasses import dataclass
@@ -83,13 +86,23 @@ class BatchNorm:
                                self.running_var, mode)
 
 
+def _preact_conv(bn, w, x, time, mode, dropout_p, rng):
+    """One pre-activation unit: BN -> ReLU -> (time plane appended) -> stride-1 conv -> dropout."""
+    h = ops.relu(bn(x, mode))
+    if time is not None:
+        h = ops.concat_channels([h, time])
+    h = ops.conv2d(h, w.value, stride=1, pad=w.value.shape[-1] // 2)
+    return ops.dropout(h, dropout_p, mode, rng)
+
+
 class GrowthUnit:
     """BN -> ReLU -> 3x3 conv producing k new channels.
 
     With a bottleneck, a 1x1 conv to ``subnet.bottleneck_width`` channels
-    (then BN -> ReLU) precedes the 3x3 conv.
+    (then BN -> ReLU) precedes the 3x3 conv: two pre-activation units.
     A raw time plane, when given, is concatenated after BN/ReLU so that
-    normalization never touches it.  Dropout follows each convolution.
+    normalization never touches it (the 1x1 half's input, with a bottleneck).
+    Dropout follows each convolution.
     """
 
     def __init__(self, store, prefix, in_ch, k, subnet, time_plane=False, rng=None):
@@ -115,15 +128,10 @@ class GrowthUnit:
         if self.subnet.linear_test_mode:
             h = ops.concat_channels([x, time]) if time is not None else x
             return ops.conv2d(h, self.w.value, stride=1, pad=0)
-        h = ops.relu(self.bn(x, mode))
-        if time is not None:
-            h = ops.concat_channels([h, time])
         if self.subnet.bottleneck_width:
-            h = ops.conv2d(h, self.w1.value, stride=1, pad=0)
-            h = ops.dropout(h, dropout_p, mode, rng)
-            h = ops.relu(self.bn2(h, mode))
-        h = ops.conv2d(h, self.w.value, stride=1, pad=1)
-        return ops.dropout(h, dropout_p, mode, rng)
+            x = _preact_conv(self.bn, self.w1, x, time, mode, dropout_p, rng)
+            return _preact_conv(self.bn2, self.w, x, None, mode, dropout_p, rng)
+        return _preact_conv(self.bn, self.w, x, time, mode, dropout_p, rng)
 
 
 def _concat(xs):
@@ -294,9 +302,7 @@ class TransitionLayer:
     def forward(self, y, mode="train", dropout_p=0.0, rng=None):
         if y.shape[2] % 2 or y.shape[3] % 2:
             raise ShapeError(f"transition needs even spatial dims to halve, got {y.shape}")
-        h = ops.relu(self.bn(y, mode))
-        h = ops.conv2d(h, self.w.value, stride=1, pad=0)
-        h = ops.dropout(h, dropout_p, mode, rng)
+        h = _preact_conv(self.bn, self.w, y, None, mode, dropout_p, rng)
         if self.gate is not None:
             h = self.gate.forward(h)
         return ops.avgpool2d(h, 2, 2)

@@ -86,7 +86,17 @@ def _train_section(cfg):
     return section
 
 
+def _check_out_dir(path):
+    """--out must be a directory, or not exist yet under one; nothing is made here."""
+    nearest = os.path.abspath(path)
+    while not os.path.lexists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        _fail(f"argument --out: {nearest!r} is not a directory, so {path!r} cannot be one")
+
+
 def cmd_train(args):
+    _check_out_dir(args.out)
     synthetic = datamod.SyntheticSplits(**_flagged(args, datamod.SyntheticSplits))
     cfg = ms.load_config(args.config)
     spec = ms.spec_from_config(cfg)

@@ -3,16 +3,18 @@
 Convolution stacks every kernel tap into one GEMM per cache-sized block of a
 padded channel-major copy of the input and shift-adds the partial products
 (see ``conv2d``); the naive sliding-window version lives in the test suite as
-an independent oracle.  The growth unit's BN -> ReLU -> conv chain is written
-to touch each activation as few times as numpy allows: batchnorm allocates
-only its output, normalizes into it in place, takes channel sums with
-``einsum`` and rebuilds the normalized input in its backward from the input
-the tape holds; relu keeps no mask.  These three ops run their passes in
+an independent oracle.  The BN -> ReLU -> conv chain of the pre-activation
+unit (``blocks._preact_conv``) is written to touch each activation as few
+times as numpy allows: batchnorm allocates only its output, normalizes into
+it in place, takes channel sums with ``einsum`` and rebuilds the normalized
+input in its backward from the input the tape holds; relu keeps no mask.  These three ops run their passes in
 chunks on the calling thread plus a worker pool (``parallel.run``); a chunk
 never splits a sum, so results do not depend on the number of threads.
-Backward closures capture arrays and dtypes, never the input tensors.  Every
-op records itself on the active tape (if any) and is pure given its inputs
-and rng.
+Backward closures capture the arrays, shapes and dtypes they read, never a
+tensor, and batchnorm's keeps its output's dtype, not the output; while tape
+nodes hold their tensors this frees nothing, but it leaves the nodes as the
+only owners.  Every op records itself on the active tape (if any) and is pure
+given its inputs and rng.
 """
 
 import numpy as np
@@ -220,6 +222,7 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
     mu = np.empty(c, dtype=xd.dtype) if train else running_mean.copy()
     centre = mu.reshape(per_channel)
     out = np.empty(xd.shape, dtype=np.result_type(xd, mu))
+    out_dtype = out.dtype
     if train:
         def mean(s, slot):
             mu[s] = np.einsum("nchw->c", xd[:, s]) / m
@@ -249,7 +252,7 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
 
     def backward_fn(gout):
         a = g * inv
-        xhat = np.empty(xd.shape, dtype=out.dtype)
+        xhat = np.empty(xd.shape, dtype=out_dtype)
         gx = np.empty(gout.shape, dtype=np.result_type(gout, a))
         gsum = np.empty(c, dtype=gout.dtype)
         gdot = np.empty(c, dtype=np.result_type(gout, xhat))
@@ -323,7 +326,8 @@ def add(a, b, *rest):
     out = a.data + b.data
     for t in rest:
         out += t.data
-    return _emit(terms, out, lambda g: (g,) * len(terms), "add")
+    count = len(terms)
+    return _emit(terms, out, lambda g: (g,) * count, "add")
 
 
 def scale(x, c):
@@ -337,24 +341,25 @@ def mul_scalar(x, s):
     """Multiply a tensor by a trainable scalar tensor (shape () or (1,))."""
     if s.size != 1:
         raise ShapeError(f"mul_scalar expects a scalar tensor, got shape {s.shape}")
-    sval = s.data.reshape(())
+    xd, sval = x.data, s.data.reshape(())
+    s_dtype, s_shape = s.data.dtype, s.shape
 
     def backward_fn(gout):
-        return gout * sval, np.asarray((gout * x.data).sum(), dtype=s.data.dtype).reshape(s.shape)
+        return gout * sval, np.asarray((gout * xd).sum(), dtype=s_dtype).reshape(s_shape)
 
-    return _emit((x, s), x.data * sval, backward_fn, "mul_scalar")
+    return _emit((x, s), xd * sval, backward_fn, "mul_scalar")
 
 
 def mul_channelwise(x, s):
     """Scale each (n, c) feature plane of NCHW x by s[n, c]."""
     if x.ndim != 4 or s.shape != x.shape[:2]:
         raise ShapeError(f"mul_channelwise: x {x.shape} needs s of shape {x.shape[:2]}, got {s.shape}")
-    s4 = s.data[:, :, None, None]
+    xd, s4 = x.data, s.data[:, :, None, None]
 
     def backward_fn(gout):
-        return gout * s4, (gout * x.data).sum(axis=(2, 3))
+        return gout * s4, (gout * xd).sum(axis=(2, 3))
 
-    return _emit((x, s), x.data * s4, backward_fn, "mul_channelwise")
+    return _emit((x, s), xd * s4, backward_fn, "mul_channelwise")
 
 
 def concat_channels(xs):
@@ -376,9 +381,10 @@ def concat_channels(xs):
 
 def _slice_channels(x, start, size):
     sl = (slice(None), slice(start, start + size))
+    shape, dtype = x.shape, x.data.dtype
 
     def backward_fn(gout):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype=dtype)
         gx[sl] = gout
         return (gx,)
 
@@ -408,9 +414,10 @@ def avgpool2d(x, k, stride):
         for j in range(k):
             out += x.data[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
     out /= k * k
+    shape, dtype = x.shape, x.data.dtype
 
     def backward_fn(gout):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype=dtype)
         gshare = gout / (k * k)
         for i in range(k):
             for j in range(k):
@@ -421,11 +428,12 @@ def avgpool2d(x, k, stride):
 
 
 def global_avg_pool(x):
-    n, c, h, w = x.shape
+    shape, dtype = x.shape, x.data.dtype
+    n, c, h, w = shape
     out = x.data.mean(axis=(2, 3))
 
     def backward_fn(gout):
-        return (np.broadcast_to(gout[:, :, None, None] / (h * w), x.shape).astype(x.data.dtype),)
+        return (np.broadcast_to(gout[:, :, None, None] / (h * w), shape).astype(dtype),)
 
     return _emit((x,), out, backward_fn, "global_avg_pool")
 
@@ -434,10 +442,11 @@ def broadcast_plane(s, n, channels, h, w):
     """Fill an (n, channels, h, w) tensor with a scalar tensor's value."""
     if s.size != 1:
         raise ShapeError(f"broadcast_plane expects a scalar tensor, got shape {s.shape}")
-    out = np.full((n, channels, h, w), s.data.reshape(()), dtype=s.data.dtype)
+    shape, dtype = s.shape, s.data.dtype
+    out = np.full((n, channels, h, w), s.data.reshape(()), dtype=dtype)
 
     def backward_fn(gout):
-        return (np.asarray(gout.sum(), dtype=s.data.dtype).reshape(s.shape),)
+        return (np.asarray(gout.sum(), dtype=dtype).reshape(shape),)
 
     return _emit((s,), out, backward_fn, "broadcast_plane")
 
@@ -447,10 +456,11 @@ def fully_connected(x, w, b):
         raise ShapeError(f"fully_connected: x {x.shape} incompatible with w {w.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"fully_connected: bias {b.shape} must be ({w.shape[1]},)")
-    out = x.data @ w.data + b.data
+    xd, wd = x.data, w.data
+    out = xd @ wd + b.data
 
     def backward_fn(gout):
-        return gout @ w.data.T, x.data.T @ gout, gout.sum(axis=0)
+        return gout @ wd.T, xd.T @ gout, gout.sum(axis=0)
 
     return _emit((x, w, b), out, backward_fn, "fully_connected")
 
@@ -472,10 +482,11 @@ def dropout(x, p, mode, rng):
 
 
 def sum_all(x):
-    out = np.asarray(x.data.sum(), dtype=x.data.dtype).reshape(())
+    shape, dtype = x.shape, x.data.dtype
+    out = np.asarray(x.data.sum(), dtype=dtype).reshape(())
 
     def backward_fn(gout):
-        return (np.full(x.shape, gout.reshape(()), dtype=x.data.dtype),)
+        return (np.full(shape, gout.reshape(()), dtype=dtype),)
 
     return _emit((x,), out, backward_fn, "sum_all")
 

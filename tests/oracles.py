@@ -225,7 +225,7 @@ def fd_gradcheck(loss_fn, params, rng, n_coords=50, h=1e-5):
             fd = (lp - lm) / (2 * h)
             g = float(flat_g[i])
             rel = abs(g - fd) / max(abs(g), abs(fd), 1e-6)
-            if rel > worst:
+            if rel > worst or np.isnan(rel):   # a NaN gradient is the worst error
                 worst, where = rel, (loss_fn, p, int(i), h)
     return GradcheckResult(worst, where)
 

@@ -1,11 +1,13 @@
 """Tape semantics and gradient correctness of the autodiff engine."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from rknet import ops
+from rknet import model_spec as ms
+from rknet import network, ops
 from rknet.tensor import Parameter, ShapeError, Tape, TapeError, Tensor, backward
 
 from oracles import fd_gradcheck, mean_all
@@ -92,6 +94,46 @@ def test_backward_releases_the_tape_as_it_runs():
         tracemalloc.stop()
     assert np.any(w.grad.data != 0)
     assert after_backward < after_forward / 10, (after_forward, after_backward)
+
+
+def captured(fn):
+    """What a backward closure holds: its cells' contents, tuples and lists opened."""
+    held = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        held += list(value) if isinstance(value, (tuple, list)) else [value]
+    return held
+
+
+def test_backward_closures_hold_arrays_not_tensors():
+    # the nodes name a closure's tensors; a closure that kept one as well would
+    # keep its data alive for as long as the closure
+    cfg = {"name": "RKNet-2x1_1x2_2x1", "kind": ["erk", "time_channel", "irk"], "k": 4,
+           "input_shape": [3, 8, 8], "num_classes": 4, "attentional_transition": True,
+           "multiscale": True}
+    model = network.build_model(ms.spec_from_config(cfg), seed=0)
+    model.dropout_p = 0.2
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 8, 8)))
+    nodes = []
+    for mode in ("train", "eval"):
+        with Tape() as tape:
+            logits, _ = network.forward(model, x, mode=mode, rng=np.random.default_rng(1))
+            ops.softmax_cross_entropy(logits, np.array([0, 1]))
+        nodes += tape._nodes
+    with Tape() as tape:   # the ops the model does not run
+        parts = ops.split_channels(Tensor(np.ones((2, 3, 4, 4))), [1, 2])
+        ops.scale(ops.sum_all(ops.concat_channels(parts)), 0.5)
+    nodes += tape._nodes
+
+    names = [node.backward_fn.__qualname__.split(".")[0] for node in nodes]
+    recording = {name for name, fn in vars(ops).items() if inspect.isfunction(fn)
+                 and name != "_emit" and "_emit(" in inspect.getsource(fn)}
+    assert set(names) == recording
+    for name, node in zip(names, nodes):
+        held = captured(node.backward_fn)
+        assert not any(isinstance(v, Tensor) for v in held), name
+        if name == "batchnorm2d":   # it needs only the output's dtype
+            assert all(v is not node.output.data for v in held)
 
 
 def test_non_scalar_loss_rejected():

@@ -209,6 +209,18 @@ class TestTimeChannelStepBlock:
         assert np.allclose(y_next.data, 0.25 + c)
         assert float(t_next.data.reshape(())) == pytest.approx(c + 1.0)
 
+    def test_time_plane_joins_after_bn_relu(self):
+        # the unit is linear in the plane it appends after BN/ReLU, so moving
+        # T/u moves the step by the conv of the plane alone (ratio 1)
+        store, blk = self.build(m=1, k=3, dtype="float64", seed=3)
+        y = rand_state(np.random.default_rng(6), blk.channels, dtype="float64")
+        base, _ = blk.forward(y, 0.0, mode="eval")
+        moved, _ = blk.forward(y, 0.5, mode="eval")
+        plane = Tensor(np.full((2, 1, 6, 6), 0.5), dtype="float64")
+        shift = ops.conv2d(plane, Tensor(blk.units[0].w.value.data[:, -1:]), pad=1).data
+        assert np.abs(shift).min() > 1e-3
+        assert np.allclose(moved.data - base.data, shift, rtol=0, atol=1e-12)
+
     def test_units_grow_densely(self):
         # unit j reads the state plus units 0..j-1; unit 0 never sees unit 1
         m, k = 2, 3

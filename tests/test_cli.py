@@ -160,6 +160,16 @@ def test_bad_train_key_is_named_by_its_key_not_a_flag(tmp_path, capsys):
     assert "'lr0'" in err and "--" not in err
 
 
+def test_augment_on_images_not_32x32_exits_1_before_the_model_is_built(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.network, "build_model", lambda *a, **k: pytest.fail("model built"))
+    out = tmp_path / "run"
+    argv = ["train", "--config", write_config(tmp_path), "--data", "synthetic", *SYN,
+            "--epochs", "1", "--augment", "--out", str(out)]
+    err = assert_rejected(argv, capsys, out)
+    assert err.startswith("error: augment needs 32x32 images, config has input_shape (3, 8, 8)")
+
+
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TrainConfig)])
 def test_every_train_setting_is_checked_by_train_config(tmp_path, capsys, name):
     # TrainConfig is the one validator: a field added later is checked on
@@ -482,6 +492,27 @@ class TestTrainEvalInspect:
         assert not (tmp_path / "run").exists()   # the directory is made at the first write
         assert [p.name for p in kept.iterdir()] == ["notes.txt"]
         assert (kept / "notes.txt").read_text() == "earlier run"
+
+    @pytest.mark.parametrize("out_kind", ["file", "under-file", "dangling-link"])
+    def test_out_that_cannot_be_a_directory_exits_1_before_any_data_is_made(
+            self, tmp_path, capsys, monkeypatch, out_kind):
+        taken = tmp_path / "taken"
+        if out_kind == "dangling-link":
+            taken.symlink_to(tmp_path / "missing")
+        else:
+            taken.write_text("earlier file")
+        out = taken / "run" if out_kind == "under-file" else taken
+        monkeypatch.setattr(cli.datamod, "gen_synthetic_shapes",
+                            lambda *a, **k: pytest.fail("data made before --out was checked"))
+        code = cli.main(["train", "--config", write_config(tmp_path), "--data", "synthetic",
+                         *SYN, "--epochs", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: argument --out: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "taken"]
+        if out_kind == "dangling-link":
+            assert taken.is_symlink() and not taken.exists()
+        else:
+            assert taken.read_text() == "earlier file"
 
     def test_eval_on_non_finite_inputs_exits_2(self, tmp_path, capsys):
         _, out = self._train(tmp_path, "run")

@@ -39,3 +39,20 @@ def test_a_relu_input_far_from_0_is_not_named_as_a_kink():
     assert nearest_relu_input(loss_fn, w, 0, 1e-5) > 0.4
     assert "w[0]; no ReLU input within h=1e-05 of 0" in repr(worst)
     assert ops.relu.__name__ == "relu"   # the watch is removed again
+
+
+def test_a_nan_gradient_is_the_worst_error_and_named():
+    w = Parameter(Tensor(np.array([1.0, 2.0, 3.0]), dtype="float64"), "w")
+
+    def loss_fn():
+        return ops.sum_all(w.value).data
+
+    w.grad.data[...] = np.nan   # a backward that returned NaN
+    worst = fd_gradcheck(loss_fn, [w], np.random.default_rng(0), n_coords=3)
+    assert np.isnan(worst)
+    assert worst.where[1] is w
+    assert repr(worst).startswith("nan at w[")
+    # one NaN coordinate, checked first (seed 1 visits 0, 1, 2), stays the worst
+    w.grad.data[...] = [np.nan, 1.0, 1.0]
+    worst = fd_gradcheck(loss_fn, [w], np.random.default_rng(1), n_coords=3)
+    assert np.isnan(worst) and worst.where[2] == 0
