@@ -7,14 +7,21 @@ an independent oracle.  The BN -> ReLU -> conv chain of the pre-activation
 unit (``blocks._preact_conv``) is written to touch each activation as few
 times as numpy allows: batchnorm allocates only its output, normalizes into
 it in place, takes channel sums with ``einsum`` and rebuilds the normalized
-input in its backward from the input the tape holds; relu keeps no mask.  These three ops run their passes in
-chunks on the calling thread plus a worker pool (``parallel.run``); a chunk
-never splits a sum, so results do not depend on the number of threads.
+input in its backward from the input the tape holds; relu keeps no mask;
+conv2d keeps no padded copy and rebuilds it in its backward from the input.
+Dropout keeps a boolean mask, not the scaled factors.  conv2d, batchnorm2d
+and relu run their passes in chunks on the calling thread plus a worker pool
+(``parallel.run``); a chunk never splits a sum, so results do not depend on
+the number of threads.
+
 Backward closures capture the arrays, shapes and dtypes they read, never a
 tensor, and batchnorm's keeps its output's dtype, not the output; while tape
 nodes hold their tensors this frees nothing, but it leaves the nodes as the
-only owners.  Every op records itself on the active tape (if any) and is pure
-given its inputs and rng.
+only owners.  The closures of conv2d, batchnorm2d and fully_connected read
+the op's input itself (relu's reads its output), so an array an op has read
+or written must not change between its forward and its backward.  Every op
+records itself on the active tape (if any) and is pure given its inputs and
+rng.
 """
 
 import numpy as np
@@ -58,11 +65,16 @@ def conv2d(x, w, stride=1, pad=0):
     all k*k*O stacked taps against the block's slice of ``xf`` (plus the
     tail), then its k*k row groups are shifted by their offsets and added in
     tap order.  This is the kn2row scheme of Anderson et al.,
-    arXiv:1709.03395, per cache-sized block.  The backward walks the same
-    blocks: it fills a fixed (k*k, O, block) scratch with the wide output
-    gradient shifted back by each tap's offset and gets one block of gw and
-    of the gradient of ``xf`` from one GEMM each.  The tape keeps ``xf``
-    (about the size of x), not a copy of every window.
+    arXiv:1709.03395, per cache-sized block.  ``xf`` is freed when the
+    forward returns; the backward holds x and rebuilds ``xf`` from it,
+    so x must not change between the two passes (rebuilding a cheap copy
+    instead of keeping it, as in Pleiss et al., arXiv:1707.06990).  The
+    backward walks the same blocks: it fills a fixed (k*k, O, block) scratch
+    with the wide output gradient shifted back by each tap's offset and gets
+    one block of gw and of the gradient of ``xf`` from one GEMM each.  Each
+    block reads only its own columns of ``xf``, so it writes its gradient
+    over them, and the rebuilt copy is the only xf-sized array the backward
+    allocates.  The tape keeps neither ``xf`` nor a copy of every window.
 
     Blocks, and groups of images for the pad, the crop and the gradient
     scatter, are chunks of ``parallel.run``.  Each participant has its own
@@ -90,22 +102,28 @@ def conv2d(x, w, stride=1, pad=0):
     kk = kh * kw
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
     tail = offsets[-1]
-    dtype = np.result_type(x.data, w.data)
-    xdtype, wdtype = x.data.dtype, w.data.dtype
+    xd = x.data
+    dtype = np.result_type(xd, w.data)
+    xdtype, wdtype = xd.dtype, w.data.dtype
     images = parallel.spans(n, c * hp * wp * dtype.itemsize)
     block = max(1, min(CONV_BLOCK, m))
     blocks = [slice(a, min(a + block, m)) for a in range(0, m, block)]
     # the rows and columns of the valid window corners in the (Hp, Wp) wide layout
     rows, cols = slice(0, (oh - 1) * stride + 1, stride), slice(0, (ow - 1) * stride + 1, stride)
 
-    xf = np.zeros((c, m + tail), dtype=dtype)
-    xf_images = xf[:, :m].reshape(c, n, hp, wp)
-    x_cn = x.data.transpose(1, 0, 2, 3)
+    def padded():
+        # xd channel-major and zero-padded, with a zero tail: (C, N*Hp*Wp + tail)
+        xf = np.zeros((c, m + tail), dtype=dtype)
+        xf_images = xf[:, :m].reshape(c, n, hp, wp)
+        x_cn = xd.transpose(1, 0, 2, 3)
 
-    def pad_images(s, slot):
-        xf_images[:, s, pad:pad + h, pad:pad + wd] = x_cn[:, s]
+        def pad_images(s, slot):
+            xf_images[:, s, pad:pad + h, pad:pad + wd] = x_cn[:, s]
 
-    parallel.run(pad_images, images)
+        parallel.run(pad_images, images)
+        return xf
+
+    xf = padded()
     taps = w.data.astype(dtype, copy=False).transpose(2, 3, 0, 1).reshape(kk * o, c)
     wide = np.empty((o, m), dtype=dtype)
     scratch = np.empty((parallel.width(blocks), kk * o * (block + tail)), dtype=dtype)
@@ -121,7 +139,9 @@ def conv2d(x, w, stride=1, pad=0):
             wide[:, a:b] += stacked[t * o:(t + 1) * o, offsets[t]:offsets[t] + b - a]
 
     parallel.run(forward_block, blocks)
-    scratch = None  # freed before the output is allocated
+    # scratch is freed before the output is allocated; xf only when conv2d
+    # returns, as freeing it here as well raised eval-mode peak RSS by 5%
+    scratch = None
     wide_images = wide.reshape(o, n, hp, wp)
     out = np.empty((n, o, oh, ow), dtype=dtype)
 
@@ -145,7 +165,9 @@ def conv2d(x, w, stride=1, pad=0):
         parallel.run(scatter_images, images)
         # one gw partial per block, summed in block order below
         gw_blocks = np.empty((len(blocks), kk * o, c), dtype=dtype)
-        gxf = np.empty((c, m), dtype=dtype)
+        # each block reads its own columns of xf for gw, then overwrites them
+        # with the same columns of the gradient of xf
+        xf = padded()
         scratch = np.empty((parallel.width(blocks), kk * o * block), dtype=dtype)
         taps_t = np.ascontiguousarray(taps.T)
 
@@ -156,15 +178,15 @@ def conv2d(x, w, stride=1, pad=0):
                 shifted[t] = gpad[:, tail - offsets[t] + a:tail - offsets[t] + b]
             shifted = shifted.reshape(kk * o, b - a)
             np.matmul(shifted, xf[:, a:b].T, out=gw_blocks[a // block])
-            np.matmul(taps_t, shifted, out=gxf[:, a:b])
+            np.matmul(taps_t, shifted, out=xf[:, a:b])
 
         parallel.run(backward_block, blocks)
-        gpad = scratch = None  # freed, so the copy into gx peaks at gx + gxf + gw
+        gpad = scratch = None  # freed, so the copy into gx peaks at gx + xf + gw
         gw = np.zeros((kk * o, c), dtype=dtype)
         for part in gw_blocks:
             gw += part
         gw_blocks = None
-        gxf_images = gxf.reshape(c, n, hp, wp)
+        gxf_images = xf[:, :m].reshape(c, n, hp, wp)
         gx = np.empty((n, c, h, wd), dtype=xdtype)
 
         def crop_gradient(s, slot):
@@ -469,6 +491,9 @@ def dropout(x, p, mode, rng):
     """Zero activations with probability p in train mode, scaling survivors.
 
     Eval mode and p == 0 are exact identities (the input tensor is returned).
+    The tape keeps the boolean mask of survivors; the backward recomputes
+    the factors ``kept / (1 - p)`` with the forward's division, so they are
+    bitwise the forward's.
     """
     if not 0 <= p < 1:
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
@@ -477,8 +502,9 @@ def dropout(x, p, mode, rng):
     if mode == "eval" or p == 0:
         return x
     draw_dtype = np.float32 if x.data.dtype == np.float32 else np.float64
-    keep = (rng.random(x.shape, dtype=draw_dtype) >= p) / np.asarray(1 - p, dtype=x.data.dtype)
-    return _emit((x,), x.data * keep, lambda g: (g * keep,), "dropout")
+    kept = rng.random(x.shape, dtype=draw_dtype) >= p
+    keep_p = np.asarray(1 - p, dtype=x.data.dtype)
+    return _emit((x,), x.data * (kept / keep_p), lambda g: (g * (kept / keep_p),), "dropout")
 
 
 def sum_all(x):

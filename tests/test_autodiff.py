@@ -97,11 +97,15 @@ def test_backward_releases_the_tape_as_it_runs():
 
 
 def captured(fn):
-    """What a backward closure holds: its cells' contents, tuples and lists opened."""
-    held = []
-    for cell in fn.__closure__ or ():
-        value = cell.cell_contents
-        held += list(value) if isinstance(value, (tuple, list)) else [value]
+    """What a backward closure holds: its cells' contents, tuples and lists
+    opened, and what the functions among them hold in turn."""
+    held, todo = [], [fn]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            value = cell.cell_contents
+            values = list(value) if isinstance(value, (tuple, list)) else [value]
+            held += values
+            todo += [v for v in values if inspect.isfunction(v)]
     return held
 
 
@@ -134,6 +138,14 @@ def test_backward_closures_hold_arrays_not_tensors():
         assert not any(isinstance(v, Tensor) for v in held), name
         if name == "batchnorm2d":   # it needs only the output's dtype
             assert all(v is not node.output.data for v in held)
+        arrays = [v for v in held if isinstance(v, np.ndarray)]
+        if name == "conv2d":   # the input itself and the taps, no padded copy
+            x_data, w_data = (t.data for t in node.inputs)
+            assert any(v is x_data for v in arrays)
+            assert all(v.size == w_data.size for v in arrays if v is not x_data)
+        if name == "dropout":   # a boolean mask, not the scaled factors
+            size = node.output.data.size
+            assert [v.dtype for v in arrays if v.size == size] == [np.dtype(bool)]
 
 
 def test_non_scalar_loss_rejected():

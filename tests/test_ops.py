@@ -168,6 +168,22 @@ class TestConv2d:
         assert len(tape) == 1
         assert retained <= 2 * (x.data.nbytes + out.data.nbytes)
 
+    def test_tape_keeps_no_padded_copy(self):
+        # the backward rebuilds the padded channel-major xf from x, which its
+        # caller holds; what stays is the output and the taps
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(8, 16, 32, 32)).astype(np.float32))
+        w = Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = ops.conv2d(x, w, stride=1, pad=1)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        assert retained < out.data.nbytes + x.data.nbytes // 4
+
     def test_output_spatial_dims(self):
         x = Tensor(np.zeros((1, 2, 9, 7)))
         w = Tensor(np.zeros((5, 2, 3, 3)))
@@ -453,6 +469,21 @@ class TestDropout:
         assert set(vals).issubset({0.0, 1.0 / 0.75})
         frac = (out.data == 0).mean()
         assert abs(frac - 0.25) < 0.02
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_gradient_is_g_times_the_forward_factor_bitwise(self, dtype):
+        # powers of two make out / x the forward's factor exactly; the tape
+        # keeps only the mask, so the backward must redo the same division
+        rng = np.random.default_rng(24)
+        x = rng.choice([-1.0, 1.0], size=(4, 6, 5, 5)) * 2.0 ** rng.integers(-4, 5, size=(4, 6, 5, 5))
+        x = Tensor(x, dtype=dtype)
+        with Tape() as tape:
+            out = ops.dropout(x, 0.3, "train", make_rng(5, "drop"))
+        g = rng.normal(size=x.shape).astype(dtype)
+        (gx,) = tape._nodes[-1].backward_fn(g)
+        want = g * (out.data / x.data)
+        assert np.any(out.data == 0) and gx.dtype == want.dtype
+        assert gx.tobytes() == want.tobytes()
 
     def test_deterministic_given_rng_key(self):
         x = Tensor(np.ones((8, 8)))

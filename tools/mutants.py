@@ -50,9 +50,18 @@ MUTANTS = [
            "parallel.run(scatter_images, images)\n        gpad[:, -1] += 1",
            CONV_TESTS),
     Mutant("conv-gx-shifted-by-one", OPS,
-           "gxf_images = gxf.reshape(c, n, hp, wp)",
-           "gxf_images = np.roll(gxf, 1, axis=1).reshape(c, n, hp, wp)",
+           "gxf_images = xf[:, :m].reshape(c, n, hp, wp)",
+           "gxf_images = np.roll(xf[:, :m], 1, axis=1).reshape(c, n, hp, wp)",
            CONV_TESTS),
+    Mutant("conv-backward-reads-zeroed-copy", OPS,
+           "        xf = padded()",
+           "        xf = np.zeros((c, m + tail), dtype=dtype)",
+           CONV_TESTS),
+    Mutant("conv-closure-keeps-xf", OPS,
+           "        xf = padded()\n",
+           "",
+           ("tests/test_ops.py::TestConv2d::test_tape_keeps_no_padded_copy",
+            "tests/test_autodiff.py::test_backward_closures_hold_arrays_not_tensors")),
     Mutant("conv-block-fill-ignores-block-start", OPS,
            "shifted[t] = gpad[:, tail - offsets[t] + a:tail - offsets[t] + b]",
            "shifted[t] = gpad[:, tail - offsets[t]:tail - offsets[t] + b - a]",
@@ -71,6 +80,10 @@ MUTANTS = [
            "lambda g: (1.1 * g * e,)",
            ("tests/test_autodiff.py::test_pointwise_gradients",
             "tests/test_blocks.py::TestTimeChannelStepBlock::test_theta_gradient_nonzero_and_matches_fd")),
+    Mutant("dropout-backward-drops-scale", OPS,
+           "lambda g: (g * (kept / keep_p),)",
+           "lambda g: (g * kept,)",
+           ("tests/test_ops.py::TestDropout::test_gradient_is_g_times_the_forward_factor_bitwise",)),
     # batchnorm closures
     Mutant("batchnorm-eval-mean-not-copied", OPS,
            "else running_mean.copy()",
