@@ -115,8 +115,7 @@ def build_model(spec, seed=0, dtype="float32"):
 
 def forward(model, x, mode="eval", rng=None):
     """Run the full network; returns (logits, per-period final states)."""
-    if not isinstance(x, Tensor):
-        x = Tensor(np.asarray(x, dtype=DTYPES[model.dtype]))
+    x = Tensor(x, dtype=model.dtype)
     if tuple(x.shape[1:]) != tuple(model.spec.input_shape):
         raise ShapeError(f"input shape {tuple(x.shape[1:])} does not match "
                          f"model input_shape {tuple(model.spec.input_shape)}")

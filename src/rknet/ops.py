@@ -103,8 +103,7 @@ def conv2d(x, w, stride=1, pad=0):
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
     tail = offsets[-1]
     xd = x.data
-    dtype = np.result_type(xd, w.data)
-    xdtype, wdtype = xd.dtype, w.data.dtype
+    dtype = xd.dtype
     images = parallel.spans(n, c * hp * wp * dtype.itemsize)
     block = max(1, min(CONV_BLOCK, m))
     blocks = [slice(a, min(a + block, m)) for a in range(0, m, block)]
@@ -124,7 +123,7 @@ def conv2d(x, w, stride=1, pad=0):
         return xf
 
     xf = padded()
-    taps = w.data.astype(dtype, copy=False).transpose(2, 3, 0, 1).reshape(kk * o, c)
+    taps = w.data.transpose(2, 3, 0, 1).reshape(kk * o, c)
     wide = np.empty((o, m), dtype=dtype)
     scratch = np.empty((parallel.width(blocks), kk * o * (block + tail)), dtype=dtype)
 
@@ -187,14 +186,14 @@ def conv2d(x, w, stride=1, pad=0):
             gw += part
         gw_blocks = None
         gxf_images = xf[:, :m].reshape(c, n, hp, wp)
-        gx = np.empty((n, c, h, wd), dtype=xdtype)
+        gx = np.empty((n, c, h, wd), dtype=dtype)
 
         def crop_gradient(s, slot):
             gx[s] = gxf_images[:, s, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
 
         parallel.run(crop_gradient, images)
         gw = gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
-        return gx, np.ascontiguousarray(gw, dtype=wdtype)
+        return gx, np.ascontiguousarray(gw)
 
     return _emit((x, w), out, backward_fn, "conv2d")
 

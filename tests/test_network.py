@@ -67,6 +67,14 @@ class TestForward:
         l1, _ = network.forward(model, x8[:1], mode="eval")
         assert np.max(np.abs(l8.data[0] - l1.data[0])) < 1e-6
 
+    def test_a_tensor_input_runs_in_the_model_dtype_like_an_array(self):
+        model = build(seed=4)   # float32
+        x = batch(np.random.default_rng(4), dtype=np.float64)
+        from_array, _ = network.forward(model, x, mode="eval")
+        from_tensor, _ = network.forward(model, Tensor(x), mode="eval")
+        assert from_tensor.data.dtype == np.float32
+        assert np.array_equal(from_tensor.data, from_array.data)
+
     def test_input_shape_mismatch(self):
         model = build()
         with pytest.raises(ShapeError, match="input_shape"):
