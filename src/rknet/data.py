@@ -46,12 +46,9 @@ def _read_cifar_batch(path):
     return images, labels
 
 
-def load_cifar10_binary(directory, normalize="meanstd"):
-    """Load the six standard CIFAR-10 binary batch files from a directory.
-
-    ``normalize='meanstd'`` standardizes per channel with statistics computed
-    from the training split; ``'div255'`` keeps the raw [0, 1] scaling.
-    """
+def load_cifar10_binary(directory):
+    """Load the six standard CIFAR-10 binary batch files from a directory,
+    standardized per channel with statistics computed from the training split."""
     import os
 
     parts = [_read_cifar_batch(os.path.join(directory, f)) for f in _CIFAR_TRAIN]
@@ -59,15 +56,12 @@ def load_cifar10_binary(directory, normalize="meanstd"):
     train_y = np.concatenate([p[1] for p in parts])
     test_x, test_y = _read_cifar_batch(os.path.join(directory, _CIFAR_TEST))
 
-    if normalize == "meanstd":
-        mean = train_x.mean(axis=(0, 2, 3), keepdims=True)
-        std = train_x.std(axis=(0, 2, 3), keepdims=True)
-        train_x = (train_x - mean) / std
-        test_x = (test_x - mean) / std
-    elif normalize != "div255":
-        raise ValueError(f"unknown normalize mode {normalize!r}")
+    mean = train_x.mean(axis=(0, 2, 3), keepdims=True)
+    std = train_x.std(axis=(0, 2, 3), keepdims=True)
+    train_x = (train_x - mean) / std
+    test_x = (test_x - mean) / std
     return (DatasetHandle(train_x, train_y, "train", 10),
-            DatasetHandle(test_x.astype(np.float32), test_y, "test", 10))
+            DatasetHandle(test_x, test_y, "test", 10))
 
 
 @dataclass

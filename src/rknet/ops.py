@@ -5,19 +5,18 @@ padded channel-major copy of the input and shift-adds the partial products
 (see ``conv2d``); the naive sliding-window version lives in the test suite as
 an independent oracle.  The BN -> ReLU -> conv chain of the pre-activation
 unit (``blocks._preact_conv``) is written to touch each activation as few
-times as numpy allows: batchnorm allocates only its output, normalizes into
-it in place, takes channel sums with ``einsum`` and rebuilds the normalized
-input in its backward from the input the tape holds; relu keeps no mask;
+times as numpy allows: batchnorm is one per-channel affine map of its input,
+allocates only its output and builds its backward from the input the tape
+holds and per-channel sums, with no normalized copy; relu keeps no mask;
 conv2d keeps no padded copy and rebuilds it in its backward from the input.
-Dropout keeps a boolean mask, not the scaled factors.  conv2d, batchnorm2d
-and relu run their passes in chunks on the calling thread plus a worker pool
-(``parallel.run``); a chunk never splits a sum, so results do not depend on
-the number of threads.
+Dropout keeps a boolean mask, not the scaled factors.  Each op computes in
+its input's dtype.  conv2d, batchnorm2d and relu run their passes in chunks
+on the calling thread plus a worker pool (``parallel.run``); a chunk never
+splits a sum, so results do not depend on the number of threads.
 
-Backward closures capture the arrays, shapes and dtypes they read, never a
-tensor, and batchnorm's keeps its output's dtype, not the output; while tape
-nodes hold their tensors this frees nothing, but it leaves the nodes as the
-only owners.  The closures of conv2d, batchnorm2d and fully_connected read
+Backward closures capture the arrays and shapes they read, never a tensor;
+while tape nodes hold their tensors this frees nothing, but it leaves the
+nodes as the only owners.  The closures of conv2d, batchnorm2d and fully_connected read
 the op's input itself (relu's reads its output), so an array an op has read
 or written must not change between its forward and its backward.  Every op
 records itself on the active tape (if any) and is pure given its inputs and
@@ -206,22 +205,25 @@ BN_EPS = 1e-5
 
 
 def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
-    """Per-channel normalization over (N, H, W).
+    """Per-channel normalization over (N, H, W): ``(x - mu) * a + beta`` with
+    ``a = gamma / sqrt(var + BN_EPS)``, computed in x's dtype.
 
-    Train mode normalizes by the batch statistics and moves the caller's
-    per-channel arrays running_mean and running_var toward them in place, by
-    ``BN_MOMENTUM``.  Eval mode normalizes by those arrays and leaves them.
+    Train mode takes mu and var from the batch, var from the centred values,
+    and moves the caller's per-channel arrays running_mean and running_var
+    toward them in place, by ``BN_MOMENTUM``.  Eval mode takes them from a
+    copy of those arrays and leaves them.  The output is the only x-sized
+    array the forward allocates: x is centred into it, then scaled and
+    shifted in place.  Centring first keeps the rounding of the output small
+    when |mu| >> sigma, where ``x * a + (beta - mu * a)`` would not.
 
-    One x-sized buffer is allocated: x is centred into it, then scaled by
-    ``inv``, by gamma and shifted by beta in place, and it becomes the output.
-    The per-channel sums (of x, of squares, and of products in the backward)
-    are taken by ``einsum`` without an x-sized temporary.  The backward is
-    ``gx = a*gout + b*xhat + c`` with per-channel a, b and c (b = c = 0 in
-    eval mode, where the statistics do not depend on x).  It rebuilds
-    ``xhat = (x - mu) * inv`` from x, which the tape holds anyway, with the
-    same operations as the forward, so the tape keeps no normalized copy.
-    Channel sums run per group of channels and elementwise passes per group
-    of images, so each chunk of a pass is one contiguous run of memory.
+    The backward reads x, which the tape holds anyway, and per-channel
+    numbers.  The channel sums of g and of g*x give ``sum g*xhat = inv *
+    (sum g*x - mu * sum g)`` (Ioffe & Szegedy, arXiv:1502.03167); they are
+    taken in float64, as the difference cancels when |mu| >> sigma.  Then
+    ``gx = a * (g + r*x) + q`` with per-channel r and q in train mode, and
+    ``gx = a * g`` in eval mode, where the statistics do not depend on x; no
+    normalized copy of x is built.  Channel sums run per group of channels
+    and elementwise passes per group of images.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm2d: mode must be 'train' or 'eval', got {mode!r}")
@@ -232,76 +234,67 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
             f"gamma has {gamma.size}, beta has {beta.size}")
     per_channel = (1, c, 1, 1)
     xd = x.data
-    g = gamma.data.reshape(per_channel)
-    b = beta.data.reshape(per_channel)
     m = x.shape[0] * x.shape[2] * x.shape[3]
     train = mode == "train"
     groups = parallel.spans(c, xd.nbytes // max(1, c))
     images = parallel.spans(len(xd), xd.nbytes // max(1, len(xd)))
-    # eval copies the running mean: a later train-mode call updates it in
-    # place before this call's backward runs
-    mu = np.empty(c, dtype=xd.dtype) if train else running_mean.copy()
-    centre = mu.reshape(per_channel)
-    out = np.empty(xd.shape, dtype=np.result_type(xd, mu))
-    out_dtype = out.dtype
+    out = np.empty_like(xd)
     if train:
-        def mean(s, slot):
+        mu, var = np.empty(c, dtype=xd.dtype), np.empty(c, dtype=xd.dtype)
+
+        def statistics(s, slot):   # the mean, then the variance of x centred into out
             mu[s] = np.einsum("nchw->c", xd[:, s]) / m
+            centred = np.subtract(xd[:, s], mu[s].reshape(-1, 1, 1), out=out[:, s])
+            var[s] = np.einsum("nchw,nchw->c", centred, centred) / m
 
-        def variance(s, slot):
-            var[s] = np.einsum("nchw,nchw->c", out[:, s], out[:, s]) / m
-
-        var = np.empty(c, dtype=out.dtype)
-        parallel.run(mean, groups)
-        parallel.run(lambda s, slot: np.subtract(xd[s], centre, out=out[s]), images)
-        parallel.run(variance, groups)
+        parallel.run(statistics, groups)
         running_mean += BN_MOMENTUM * (mu - running_mean)
         running_var += BN_MOMENTUM * (var - running_var)
     else:
-        var = running_var
-    inv = (1.0 / np.sqrt(var + BN_EPS)).reshape(per_channel)
+        # a copy: a later train-mode call updates running_mean in place
+        # before this call's backward runs
+        mu, var = running_mean.copy(), running_var
+        centre = mu.reshape(per_channel)
+        parallel.run(lambda s, slot: np.subtract(xd[s], centre, out=out[s]), images)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    a = (gamma.data * inv).reshape(per_channel)
+    b = beta.data.reshape(per_channel)
 
-    def normalize(s, slot):
+    def normalize(s, slot):   # out holds x - mu
         outs = out[s]
-        if not train:
-            np.subtract(xd[s], centre, out=outs)
-        outs *= inv
-        outs *= g
+        outs *= a
         outs += b
 
     parallel.run(normalize, images)
 
     def backward_fn(gout):
-        a = g * inv
-        xhat = np.empty(xd.shape, dtype=out_dtype)
-        gx = np.empty(gout.shape, dtype=np.result_type(gout, a))
-        gsum = np.empty(c, dtype=gout.dtype)
-        gdot = np.empty(c, dtype=np.result_type(gout, xhat))
-
-        def rebuild(s, slot):
-            np.subtract(xd[s], centre, out=xhat[s])
-            xhat[s] *= inv
+        gsum, gxsum = np.empty(c), np.empty(c)
 
         def sums(s, slot):
-            gsum[s] = np.einsum("nchw->c", gout[:, s])
-            gdot[s] = np.einsum("nchw,nchw->c", gout[:, s], xhat[:, s])
+            gsum[s] = np.einsum("nchw->c", gout[:, s], dtype=np.float64)
+            gxsum[s] = np.einsum("nchw,nchw->c", gout[:, s], xd[:, s], dtype=np.float64)
+
+        parallel.run(sums, groups)
+        gdot = inv * (gxsum - mu * gsum)   # sum of gout * xhat
+        # gx = a * (gout - mean gout - xhat * mean(gout * xhat)) = a * (gout + r*x) + q
+        r = -inv * gdot / m
+        q = -a * (gsum / m + r * mu).reshape(per_channel)
+        r, q = r.astype(xd.dtype).reshape(per_channel), q.astype(xd.dtype)
+        gx = np.empty_like(xd)
 
         def differentiate(s, slot):
-            gxs, xh = gx[s], xhat[s]
-            np.multiply(gout[s], a, out=gxs)
-            if train:  # batch statistics depend on x too
-                gxs -= a_sum
-                xh *= a_dot
-                gxs -= xh
+            if train:   # the batch statistics depend on x too
+                gxs = np.multiply(xd[s], r, out=gx[s])
+                gxs += gout[s]
+                gxs *= a
+                gxs += q
+            else:
+                np.multiply(gout[s], a, out=gx[s])
 
-        parallel.run(rebuild, images)
-        parallel.run(sums, groups)
-        a_sum = a * (gsum / m).reshape(per_channel)
-        a_dot = a * (gdot / m).reshape(per_channel)
         parallel.run(differentiate, images)
-        return gx.astype(xd.dtype, copy=False), gdot, gsum
+        return gx, gdot.astype(xd.dtype), gsum.astype(xd.dtype)
 
-    return _emit((x, gamma, beta), out.astype(xd.dtype, copy=False), backward_fn, "batchnorm2d")
+    return _emit((x, gamma, beta), out, backward_fn, "batchnorm2d")
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,21 @@ def two_pass_batchnorm(x, gamma, beta, eps=1e-5):
     return out
 
 
+def two_pass_batchnorm_grads(x, gamma, gout, eps=1e-5):
+    """Train-mode gradients of ``two_pass_batchnorm`` for the output gradient
+    ``gout``, in float64 from the textbook form: gx = a*(g - mean g - xhat *
+    mean(g*xhat)) with a = gamma*inv, dgamma = sum g*xhat, dbeta = sum g."""
+    x, gamma, g = (np.asarray(v, dtype=np.float64) for v in (x, gamma, gout))
+    axes = (0, 2, 3)
+    mu = x.mean(axis=axes, keepdims=True)
+    inv = 1 / np.sqrt(((x - mu) ** 2).mean(axis=axes, keepdims=True) + eps)
+    xhat = (x - mu) * inv
+    a = gamma.reshape(1, -1, 1, 1) * inv
+    gx = a * (g - g.mean(axis=axes, keepdims=True)
+              - xhat * (g * xhat).mean(axis=axes, keepdims=True))
+    return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
 def naive_softmax_cross_entropy(logits, labels):
     """Direct formula without max-stabilization (valid at small magnitudes)."""
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)

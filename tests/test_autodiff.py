@@ -136,7 +136,7 @@ def test_backward_closures_hold_arrays_not_tensors():
     for name, node in zip(names, nodes):
         held = captured(node.backward_fn)
         assert not any(isinstance(v, Tensor) for v in held), name
-        if name == "batchnorm2d":   # it needs only the output's dtype
+        if name == "batchnorm2d":   # it reads x and per-channel numbers, never its output
             assert all(v is not node.output.data for v in held)
         arrays = [v for v in held if isinstance(v, np.ndarray)]
         if name == "conv2d":   # the input itself and the taps, no padded copy

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rknet.data import (DataError, augment_cifar, gen_synthetic_shapes,
+from rknet.data import (DataError, _read_cifar_batch, augment_cifar, gen_synthetic_shapes,
                         load_cifar10_binary)
 from rknet.rng import make_rng
 
@@ -34,26 +34,29 @@ def cifar_dir(tmp_path_factory):
 
 class TestCifarLoader:
     def test_split_sizes(self, cifar_dir):
-        train, test = load_cifar10_binary(cifar_dir, normalize="div255")
+        train, test = load_cifar10_binary(cifar_dir)
+        assert train.images.dtype == test.images.dtype == np.float32
         assert train.images.shape == (50_000, 3, 32, 32)
         assert test.images.shape == (10_000, 3, 32, 32)
         assert len(train.labels) == 50_000 and len(test.labels) == 10_000
 
     def test_channel_planar_layout_and_scaling(self, cifar_dir):
-        train, _ = load_cifar10_binary(cifar_dir, normalize="div255")
-        assert train.labels[0] == 7
-        assert np.all(train.images[0, 0] == np.float32(10 / 255))
-        assert np.all(train.images[0, 1] == np.float32(20 / 255))
-        assert np.all(train.images[0, 2] == np.float32(30 / 255))
+        images, labels = _read_cifar_batch(cifar_dir / "data_batch_1.bin")
+        assert labels[0] == 7
+        assert np.all(images[0, 0] == np.float32(10 / 255))
+        assert np.all(images[0, 1] == np.float32(20 / 255))
+        assert np.all(images[0, 2] == np.float32(30 / 255))
 
     def test_meanstd_normalization_uses_train_stats(self, cifar_dir):
-        train, test = load_cifar10_binary(cifar_dir, normalize="meanstd")
+        train, test = load_cifar10_binary(cifar_dir)
         assert abs(float(train.images.mean())) < 1e-3
         # test split transformed with the train statistics, not its own
-        raw_train, raw_test = load_cifar10_binary(cifar_dir, normalize="div255")
-        mean = raw_train.images.mean(axis=(0, 2, 3), keepdims=True)
-        std = raw_train.images.std(axis=(0, 2, 3), keepdims=True)
-        assert np.allclose(test.images, (raw_test.images - mean) / std, atol=1e-5)
+        raw_train = np.concatenate([_read_cifar_batch(cifar_dir / f"data_batch_{i}.bin")[0]
+                                    for i in range(1, 6)])
+        raw_test, _ = _read_cifar_batch(cifar_dir / "test_batch.bin")
+        mean = raw_train.mean(axis=(0, 2, 3), keepdims=True)
+        std = raw_train.std(axis=(0, 2, 3), keepdims=True)
+        assert np.allclose(test.images, (raw_test - mean) / std, atol=1e-5)
 
     @staticmethod
     def _link_all_but(src, dst, skip):

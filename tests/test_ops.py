@@ -11,7 +11,8 @@ from rknet.rng import make_rng
 from rknet.tensor import Parameter, ShapeError, Tape, Tensor, backward
 
 from oracles import (fd_gradcheck, mean_all, naive_conv2d, naive_conv2d_grads,
-                     naive_softmax_cross_entropy, two_pass_batchnorm)
+                     naive_softmax_cross_entropy, two_pass_batchnorm,
+                     two_pass_batchnorm_grads)
 
 
 class TestConv2d:
@@ -336,6 +337,48 @@ class TestBatchNorm:
         # a kept xhat would add another 4 * x.size bytes to the output's
         assert len(tape) == 1
         assert retained < out.data.nbytes + x.size // 2
+
+    @pytest.mark.parametrize("offset", [0, 10, 100, 1000])
+    def test_float32_gradients_match_a_float64_oracle_far_from_zero_mean(self, offset):
+        # |mu|/sigma = offset.  x lies on a 1/32 grid, so every partial sum of
+        # its float32 batch mean is exact and so is the mean; what is left is
+        # the backward's own error.  (Off the grid, the float32 mean alone
+        # moves dgamma by up to 2e-4 of its size at offset 1000, whatever the
+        # backward does.)  Channel sums taken in float32 miss dgamma by 1e-5
+        # of its size at offset 100 and by 1e-4 at 1000.
+        rng = np.random.default_rng(24)
+        shape = (8, 4, 8, 8)
+        x = (np.round(rng.normal(size=shape) * 32) / 32 + offset).astype(np.float32)
+        gamma = (rng.normal(size=4) + 1).astype(np.float32)
+        beta = rng.normal(size=4).astype(np.float32)
+        gout = rng.normal(size=shape).astype(np.float32)
+        with Tape() as tape:
+            ops.batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta),
+                            np.zeros(4, np.float32), np.ones(4, np.float32), "train")
+        got = tape._nodes[-1].backward_fn(gout)
+        bounds = {"gx": 1e-5, "dgamma": 1e-6, "dbeta": 1e-6}
+        for (name, bound), g, ref in zip(bounds.items(), got,
+                                         two_pass_batchnorm_grads(x, gamma, gout)):
+            assert g.dtype == np.float32, name
+            assert np.max(np.abs(g - ref)) <= bound * np.max(np.abs(ref)), name
+
+    def test_backward_transient_is_about_the_input_gradient(self):
+        # a normalized copy of x, as a rebuilt xhat, would double the peak
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.normal(size=(32, 64, 32, 32)).astype(np.float32))
+        gamma = Tensor(np.ones(64, dtype=np.float32))
+        beta = Tensor(np.zeros(64, dtype=np.float32))
+        with Tape() as tape:
+            ops.batchnorm2d(x, gamma, beta, np.zeros(64, np.float32),
+                            np.ones(64, np.float32), "train")
+        gout = rng.normal(size=x.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            gx, _, _ = tape._nodes[-1].backward_fn(gout)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < gx.nbytes + x.data.nbytes // 4
 
     def test_eval_backward_ignores_a_later_train_update(self):
         rng = np.random.default_rng(23)

@@ -84,15 +84,28 @@ MUTANTS = [
            "lambda g: (g * (kept / keep_p),)",
            "lambda g: (g * kept,)",
            ("tests/test_ops.py::TestDropout::test_gradient_is_g_times_the_forward_factor_bitwise",)),
-    # batchnorm closures
+    # batchnorm
     Mutant("batchnorm-eval-mean-not-copied", OPS,
-           "else running_mean.copy()",
-           "else running_mean",
+           "running_mean.copy(), running_var",
+           "running_mean, running_var",
            ("tests/test_ops.py::TestBatchNorm::test_eval_backward_ignores_a_later_train_update",)),
     Mutant("batchnorm-closure-holds-output", OPS,
-           "xhat = np.empty(xd.shape, dtype=out_dtype)",
-           "xhat = np.empty(xd.shape, dtype=out.dtype)",
+           "gx = np.empty_like(xd)",
+           "gx = np.empty_like(out)",
            ("tests/test_autodiff.py::test_backward_closures_hold_arrays_not_tensors",)),
+    Mutant("batchnorm-sums-in-input-dtype", OPS,
+           "gsum[s] = np.einsum(\"nchw->c\", gout[:, s], dtype=np.float64)\n"
+           "            gxsum[s] = np.einsum(\"nchw,nchw->c\", gout[:, s], xd[:, s], dtype=np.float64)",
+           "gsum[s] = np.einsum(\"nchw->c\", gout[:, s])\n"
+           "            gxsum[s] = np.einsum(\"nchw,nchw->c\", gout[:, s], xd[:, s])",
+           ("tests/test_ops.py::TestBatchNorm::"
+            "test_float32_gradients_match_a_float64_oracle_far_from_zero_mean",)),
+    Mutant("batchnorm-train-gradient-drops-q", OPS,
+           "                gxs += q\n",
+           "",
+           ("tests/test_ops.py::TestBatchNorm::test_train_mode_gradients",
+            "tests/test_ops.py::TestBatchNorm::"
+            "test_float32_gradients_match_a_float64_oracle_far_from_zero_mean")),
     # the chunk pool
     Mutant("pool-worker-keeps-last-job", "src/rknet/parallel.py",
            "left, job = job.left, None",
