@@ -16,11 +16,11 @@ splits a sum, so results do not depend on the number of threads.
 
 Backward closures capture the arrays and shapes they read, never a tensor;
 while tape nodes hold their tensors this frees nothing, but it leaves the
-nodes as the only owners.  The closures of conv2d, batchnorm2d and fully_connected read
-the op's input itself (relu's reads its output), so an array an op has read
-or written must not change between its forward and its backward.  Every op
-records itself on the active tape (if any) and is pure given its inputs and
-rng.
+nodes as the only owners.  The closures of conv2d, batchnorm2d and
+fully_connected read the op's input itself (relu's reads its output), so an
+array an op has read or written must not change between its forward and its
+backward.  Every op records itself on the active tape (if any) and is pure
+given its inputs and rng.
 """
 
 import numpy as np
