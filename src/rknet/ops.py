@@ -222,8 +222,9 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
     taken in float64, as the difference cancels when |mu| >> sigma.  Then
     ``gx = a * (g + r*x) + q`` with per-channel r and q in train mode, and
     ``gx = a * g`` in eval mode, where the statistics do not depend on x; no
-    normalized copy of x is built.  Channel sums run per group of channels
-    and elementwise passes per group of images.
+    normalized copy of x is built.  Channel sums, and the centring between
+    train mode's mean and variance, run per group of channels; the other
+    elementwise passes run per group of images.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm2d: mode must be 'train' or 'eval', got {mode!r}")
