@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_spec import ConfigError, as_integer, as_number, read_fields
+from .model_spec import ConfigError, as_count, as_number, read_fields
 from .rng import make_rng
 
 
@@ -76,12 +76,9 @@ class SyntheticSplits:
     test_per_class: int = 100
 
     def __post_init__(self):
-        read_fields(self, {int: as_integer, float: as_number})
+        read_fields(self, {int: as_count, float: as_number})
         if self.noise < 0:
             raise ConfigError(f"must be nonnegative, got {self.noise}", "noise")
-        for name in ("train_per_class", "test_per_class"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"must be at least 1, got {getattr(self, name)}", name)
 
 
 def gen_synthetic_shapes(n_per_class, classes=4, size=16, noise=0.1, seed=0, split="train"):

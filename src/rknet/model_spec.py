@@ -72,10 +72,7 @@ class PeriodSpec:
     attentional_transition: bool = False
 
     def __post_init__(self):
-        read_fields(self, {int: as_integer, str: as_kind, bool: as_flag})
-        for name in ("s", "r", "k", "m"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"PeriodSpec.{name} must be positive, got {getattr(self, name)}")
+        read_fields(self, {int: as_count, str: as_kind, bool: as_flag})
 
     @property
     def channels(self):
@@ -84,7 +81,9 @@ class PeriodSpec:
 
     @property
     def bottleneck_width(self):
-        """1x1 reduction width: k for irk periods, 4k otherwise."""
+        """1x1 reduction width: k for irk periods, 4k otherwise, and 0 without a bottleneck."""
+        if not self.bottleneck:
+            return 0
         return self.k if self.kind == "irk" else 4 * self.k
 
 
@@ -104,15 +103,10 @@ class ModelSpec:
     share_weights: bool = False
 
     def __post_init__(self):
-        read_fields(self, {list: _periods, bool: as_flag, int: as_integer,
-                           tuple: as_tuple(as_integer)})
-        if not self.periods:
-            raise ValueError("ModelSpec needs at least one period")
-        if len(self.input_shape) != 3 or min(self.input_shape) < 1:
-            raise ValueError(f"input_shape must be (C, H, W) with every dimension at least 1, "
-                             f"got {self.input_shape}")
-        if self.num_classes < 1:
-            raise ValueError(f"num_classes must be at least 1, got {self.num_classes}")
+        read_fields(self, {list: _periods, bool: as_flag, int: as_count,
+                           tuple: as_tuple(as_count)})
+        if len(self.input_shape) != 3:
+            raise ConfigError(f"expected (C, H, W), got {self.input_shape}", "input_shape")
         if violations := _rule_violations(self):
             raise InvalidSpecError(violations)
 
@@ -242,38 +236,37 @@ def convert_cliquenet(stage1_layers, growth_rate):
 # Analytical parameter counting (must match the built model exactly; BN
 # running statistics are not trained and therefore not counted).
 
-def _growth_params(in_ch, k, bottleneck, bw, time_plane=False):
+def _growth_params(in_ch, k, bw, time_plane=False):
     # BN(gamma+beta) over the feature channels; the conv also sees the raw
-    # time plane when present.
+    # time plane when present.  A bottleneck width bw of 0 means no bottleneck.
     conv_in = in_ch + (1 if time_plane else 0)
-    if bottleneck:
+    if bw:
         return 2 * in_ch + conv_in * bw + 2 * bw + 9 * bw * k
     return 2 * in_ch + 9 * conv_in * k
 
 
-def _growth_run(in_ch, k, n, bottleneck, bw, time_plane=False):
+def _growth_run(in_ch, k, n, bw, time_plane=False):
     """Parameters of n growth units whose input widens by k from in_ch.
 
     ``_growth_params`` is affine in its input width, so unit t (from 0) counts
     the first unit's parameters plus t times the difference between the first
     two units'; the sum over t is closed-form.
     """
-    first = _growth_params(in_ch, k, bottleneck, bw, time_plane)
-    step = _growth_params(in_ch + k, k, bottleneck, bw, time_plane) - first
+    first = _growth_params(in_ch, k, bw, time_plane)
+    step = _growth_params(in_ch + k, k, bw, time_plane) - first
     return n * first + step * (n * (n - 1) // 2)
 
 
 def _step_params(p):
-    k, s, m = p.k, p.s, p.m
-    bw = p.bottleneck_width
+    k, s, m, bw = p.k, p.s, p.m, p.bottleneck_width
     if p.kind == "erk":
-        return _growth_run(p.channels, k, m * s, p.bottleneck, bw)
+        return _growth_run(p.channels, k, m * s, bw)
     if p.kind == "irk":
-        stage1 = _growth_run(k, k, s, p.bottleneck, bw)
-        stage2 = s * _growth_params((s - 1) * k, k, p.bottleneck, bw)
+        stage1 = _growth_run(k, k, s, bw)
+        stage2 = s * _growth_params((s - 1) * k, k, bw)
         return stage1 + stage2
     # time_channel: m growths whose convs also see the time plane
-    return _growth_run(p.channels, k, m, p.bottleneck, bw, time_plane=True)
+    return _growth_run(p.channels, k, m, bw, time_plane=True)
 
 
 def _transition_params(in_ch, out_ch, attentional):
@@ -340,6 +333,13 @@ def as_integer(value):
     return int(value)
 
 
+def as_count(value):
+    """A count (stages, steps, channels, classes, samples): an as_integer value of at least 1."""
+    if (count := as_integer(value)) < 1:
+        raise ValueError(f"expected an integer of at least 1, got {value!r}")
+    return count
+
+
 def as_number(value):
     """A finite JSON or numpy real number, as a float; json.load reads NaN and Infinity."""
     if isinstance(value, bool) or not isinstance(value, Real):
@@ -361,6 +361,8 @@ def as_tuple(read):
 def _periods(value):
     if not isinstance(value, (list, tuple)) or not all(isinstance(p, PeriodSpec) for p in value):
         raise TypeError(f"expected a list of PeriodSpec, got {value!r}")
+    if not value:
+        raise ValueError("expected at least one period")
     return list(value)
 
 

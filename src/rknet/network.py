@@ -72,7 +72,7 @@ def build_model(spec, seed=0, dtype="float32"):
 
     periods = []
     for p_idx, p in enumerate(spec.periods):
-        subnet = SubnetConfig(bottleneck_width=p.bottleneck_width if p.bottleneck else 0)
+        subnet = SubnetConfig(bottleneck_width=p.bottleneck_width)
         prefix = f"period{p_idx}"
         blocks = []
         for step in range(p.r):

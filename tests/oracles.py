@@ -89,16 +89,14 @@ def forged_metadata(tensors):
 
 def looped_step_params(p):
     """Parameters of one step of period p, summed growth unit by growth unit."""
-    k, s, m = p.k, p.s, p.m
-    bw = p.bottleneck_width
+    k, s, m, bw = p.k, p.s, p.m, p.bottleneck_width
     if p.kind == "erk":
-        return sum(_growth_params(p.channels + (t - 1) * k, k, p.bottleneck, bw)
-                   for t in range(1, m * s + 1))
+        return sum(_growth_params(p.channels + (t - 1) * k, k, bw) for t in range(1, m * s + 1))
     if p.kind == "irk":
-        stage1 = sum(_growth_params(j * k, k, p.bottleneck, bw) for j in range(1, s + 1))
-        stage2 = s * _growth_params((s - 1) * k, k, p.bottleneck, bw)
+        stage1 = sum(_growth_params(j * k, k, bw) for j in range(1, s + 1))
+        stage2 = s * _growth_params((s - 1) * k, k, bw)
         return stage1 + stage2
-    return sum(_growth_params(p.channels + (t - 1) * k, k, p.bottleneck, bw, time_plane=True)
+    return sum(_growth_params(p.channels + (t - 1) * k, k, bw, time_plane=True)
                for t in range(1, m + 1))
 
 

@@ -75,6 +75,11 @@ class TestBuild:
         assert captured.err.startswith("error: ") and "[attentional transition]" in captured.err
         assert captured.out == ""
 
+    def test_count_below_1_exits_1_naming_its_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, name="ERKNet-1x1_1x1", k=[12, 0])
+        err = assert_rejected(["build", "--config", cfg], capsys, tmp_path / "run")
+        assert err == "error: config key 'k': expected an integer of at least 1, got 0\n"
+
     def test_summary_off_prints_single_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert cli.main(["build", "--config", cfg, "--no-print-summary"]) == 0

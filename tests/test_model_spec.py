@@ -128,10 +128,28 @@ class TestValidateSpec:
                 assert str(v) in str(err.value)
 
     def test_non_positive_fields_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            ms.PeriodSpec(s=0, r=1, k=4)
-        with pytest.raises(ValueError):
-            ms.PeriodSpec(s=1, r=1, k=-3)
+        # every count is read by as_count: a value below 1 is a ConfigError keyed by its field
+        period = ms.PeriodSpec(s=1, r=1, k=4)
+        counts = [
+            ("s", lambda: ms.PeriodSpec(s=0, r=1, k=4)),
+            ("r", lambda: ms.PeriodSpec(s=1, r=0, k=4)),
+            ("k", lambda: ms.PeriodSpec(s=1, r=1, k=-3)),
+            ("k", lambda: ms.PeriodSpec(s=1, r=1, k=0)),
+            ("m", lambda: ms.PeriodSpec(s=1, r=1, k=4, m=0)),
+            ("num_classes", lambda: ms.ModelSpec([period], num_classes=0)),
+            ("input_shape", lambda: ms.ModelSpec([period], input_shape=(3, 0, 8))),
+            ("input_shape", lambda: ms.ModelSpec([period], input_shape=(0, 8, 8))),
+        ]
+        for key, build in counts:
+            with pytest.raises(ms.ConfigError) as err:
+                build()
+            assert err.value.key == key
+            assert err.value.reason.startswith("expected an integer of at least 1, got ")
+        for key, build in [("periods", lambda: ms.ModelSpec([])),
+                           ("input_shape", lambda: ms.ModelSpec([period], input_shape=(8, 8)))]:
+            with pytest.raises(ms.ConfigError) as err:
+                build()
+            assert err.value.key == key
 
     @pytest.mark.parametrize("cls,kwargs", [
         (ms.ModelSpec, {"input_shape": (3, 8.7, 8)}),

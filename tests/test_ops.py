@@ -294,6 +294,13 @@ class TestBatchNorm:
         var = x.var(axis=(0, 2, 3))
         assert np.allclose(rmean, 0.1 * mu)
         assert np.allclose(rvar, 0.9 + 0.1 * var)
+        # a second update starts from non-zero statistics, where the sign of the
+        # running term matters
+        x2 = rng.normal(size=(8, 2, 4, 4)) * 2 - 7
+        prev = (rmean.copy(), rvar.copy())
+        ops.batchnorm2d(Tensor(x2, dtype="float64"), gamma, beta, rmean, rvar, "train")
+        assert np.allclose(rmean, 0.9 * prev[0] + 0.1 * x2.mean(axis=(0, 2, 3)))
+        assert np.allclose(rvar, 0.9 * prev[1] + 0.1 * x2.var(axis=(0, 2, 3)))
         before = (rmean.copy(), rvar.copy())
         out = ops.batchnorm2d(Tensor(x, dtype="float64"), gamma, beta, rmean, rvar, "eval")
         expected = (x - rmean.reshape(1, 2, 1, 1)) / np.sqrt(rvar.reshape(1, 2, 1, 1) + 1e-5)
@@ -561,6 +568,21 @@ class TestSoftmaxCrossEntropy:
         labels = rng.integers(0, 5, size=6)
         got = float(ops.softmax_cross_entropy(Tensor(logits, dtype="float64"), labels).data)
         assert abs(got - naive_softmax_cross_entropy(logits, labels)) < 1e-9
+
+    @pytest.mark.parametrize("dtype,tol", [("float64", 1e-12), ("float32", 1e-5)])
+    def test_large_logits_match_a_float64_log_sum_exp(self, dtype, tol):
+        # exp of a logit near 1000 overflows, and one near -1000 underflows, unless
+        # each row is shifted by its maximum first
+        rng = np.random.default_rng(15)
+        logits = rng.normal(size=(6, 5)) + np.array([1000, -1000, 1000, -1000, 0, 0])[:, None]
+        logits[4] = [1000, -1000, 0, 500, -500]
+        logits = logits.astype(dtype)
+        labels = np.array([0, 1, 2, 3, 4, 1])
+        got = float(ops.softmax_cross_entropy(Tensor(logits, dtype=dtype), labels).data)
+        rows = logits.astype(np.float64)
+        want = np.mean(np.logaddexp.reduce(rows, axis=1) - rows[np.arange(6), labels])
+        assert np.isfinite(got)
+        assert abs(got - want) <= tol * max(1.0, abs(want))
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="labels"):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from rknet import model_spec as ms
-from rknet import network
+from rknet import network, ops
 from rknet import train as T
 from rknet.data import gen_synthetic_shapes, DatasetHandle
+from rknet.rng import make_rng
 from rknet.tensor import Parameter, Tensor
 
 TINY_MODEL = {"name": "ERKNet-2x1", "k": 6, "input_shape": [3, 16, 16], "num_classes": 4}
@@ -195,6 +196,39 @@ class TestTrainEpochs:
         cfg = T.TrainConfig(epochs=2, batch_size=32, seed=0)
         T.train_epochs(model, tiny_data(), tiny_data(4, split="test"), cfg)
         assert model.epoch == 2
+
+
+class TestReportedMetrics:
+    """The losses and accuracies a run reports are means over its images."""
+
+    def test_evaluate_equals_one_eval_forward_over_all_images(self):
+        # 10 images in batches of 4, 4 and 2: each batch mean is weighted by its size
+        model = network.build_model(ms.spec_from_config(TINY_MODEL), seed=4, dtype="float64")
+        full = tiny_data(3, split="test")
+        data = DatasetHandle(full.images[:10], full.labels[:10], "test", full.num_classes)
+        loss, acc = T.evaluate(model, data, batch_size=4)
+        logits, _ = network.forward(model, data.images, mode="eval")
+        correct = int((logits.data.argmax(axis=1) == data.labels).sum())
+        assert 0 < correct < 10   # so a count in place of the fraction shows
+        assert abs(loss - float(ops.softmax_cross_entropy(logits, data.labels).data)) < 1e-12
+        assert acc == correct / 10
+
+    def test_train_row_equals_the_one_batch_train_forward(self):
+        # lr0 = 0 leaves the parameters as built, and dropout 0 makes the forward
+        # deterministic, so the epoch's row is the train-mode loss and accuracy of its batch
+        train = tiny_data(3)
+        model = network.build_model(ms.spec_from_config(TINY_MODEL), seed=1, dtype="float64")
+        cfg = T.TrainConfig(epochs=1, batch_size=len(train), lr0=0.0, dropout_p=0.0, seed=1)
+        (row,) = T.train_epochs(model, train, tiny_data(1, split="test"), cfg)
+        perm = make_rng(cfg.seed, "shuffle", 0).permutation(len(train))
+        labels = train.labels[perm]
+        logits, _ = network.forward(model, train.images[perm], mode="train",
+                                    rng=make_rng(cfg.seed, "dropout", 0, 0))
+        loss = float(ops.softmax_cross_entropy(logits, labels).data)
+        correct = int((logits.data.argmax(axis=1) == labels).sum())
+        assert 0 < correct < len(train)
+        assert abs(row["train_loss"] - loss) < 1e-12
+        assert row["train_acc"] == correct / len(train)
 
 
 class TestEvaluate:

@@ -35,6 +35,7 @@ TIMEOUT_S = 600
 Mutant = namedtuple("Mutant", "name path old new tests")
 
 OPS = "src/rknet/ops.py"
+TRAIN = "src/rknet/train.py"
 CONV_TESTS = ("tests/test_ops.py::TestConv2d::test_gradients_match_loop_oracle",
               "tests/test_ops.py::TestConv2d::test_block_walk_matches_loop_oracles")
 
@@ -89,6 +90,10 @@ MUTANTS = [
            "running_mean.copy(), running_var",
            "running_mean, running_var",
            ("tests/test_ops.py::TestBatchNorm::test_eval_backward_ignores_a_later_train_update",)),
+    Mutant("batchnorm-running-mean-sign", OPS,
+           "running_mean += BN_MOMENTUM * (mu - running_mean)",
+           "running_mean += BN_MOMENTUM * (mu + running_mean)",
+           ("tests/test_ops.py::TestBatchNorm::test_running_stats_update_and_eval_mode",)),
     Mutant("batchnorm-closure-holds-output", OPS,
            "gx = np.empty_like(xd)",
            "gx = np.empty_like(out)",
@@ -106,6 +111,27 @@ MUTANTS = [
            ("tests/test_ops.py::TestBatchNorm::test_train_mode_gradients",
             "tests/test_ops.py::TestBatchNorm::"
             "test_float32_gradients_match_a_float64_oracle_far_from_zero_mean")),
+    # softmax and the reported metrics
+    Mutant("softmax-adds-row-max", OPS,
+           "z = logits.data - logits.data.max(axis=1, keepdims=True)",
+           "z = logits.data + logits.data.max(axis=1, keepdims=True)",
+           ("tests/test_ops.py::TestSoftmaxCrossEntropy::"
+            "test_large_logits_match_a_float64_log_sum_exp",)),
+    Mutant("evaluate-accuracy-times-count", TRAIN,
+           "total_correct / len(data)",
+           "total_correct * len(data)",
+           ("tests/test_train.py::TestReportedMetrics::"
+            "test_evaluate_equals_one_eval_forward_over_all_images",)),
+    Mutant("evaluate-loss-divided-by-batch", TRAIN,
+           "total_loss += float(loss.data) * len(labels)",
+           "total_loss += float(loss.data) / len(labels)",
+           ("tests/test_train.py::TestReportedMetrics::"
+            "test_evaluate_equals_one_eval_forward_over_all_images",)),
+    Mutant("train-loss-times-count", TRAIN,
+           '"train_loss": total_loss / len(perm)',
+           '"train_loss": total_loss * len(perm)',
+           ("tests/test_train.py::TestReportedMetrics::"
+            "test_train_row_equals_the_one_batch_train_forward",)),
     # the chunk pool
     Mutant("pool-worker-keeps-last-job", "src/rknet/parallel.py",
            "left, job = job.left, None",
