@@ -4,9 +4,12 @@ a clique block (irk), or a time-channel Euler step, plus transitions.
 A step block maps the state y_n to y_{n+1} = y_n + sum of per-stage increment
 groups, produced by convolutional subnetworks wired as the stage structure of
 the Runge-Kutta family dictates; that summation layer is one ``ops.add``.  All
-three kinds share one dense-growth rule (``_dense_growth``): growth unit t
-reads concat(y_n, outputs of units 0..t-1) and emits k channels.  erk runs it
-for every stage, irk for its Stage-I initializers, time-channel for its units.
+three kinds share one dense-growth rule: growth unit t reads
+concat(y_n, outputs of units 0..t-1) and emits k channels.  Two helpers own
+it.  ``_growth_units`` builds a run of units whose input widens by k, and
+``_dense_growth`` runs groups of them, each group under its own scope, and
+owns the feature list.  erk's groups are its stages, irk's are its Stage-I
+initializers, time-channel's are its units (which also see the time plane).
 irk Stage-II is the one read that is not a prefix of that list.  Every
 BN -> ReLU -> conv -> dropout sequence, in growth units, both bottleneck
 halves and transitions, is one pre-activation unit (``_preact_conv``; He et
@@ -138,16 +141,31 @@ def _concat(xs):
     return xs[0] if len(xs) == 1 else ops.concat_channels(xs)
 
 
-def _dense_growth(feats, units, time=None, mode="train", dropout_p=0.0, rng=None):
-    """The dense-growth rule: each unit reads concat(feats) and appends its output.
+def _growth_units(store, names, in_ch, k, subnet, rng, time_plane=False):
+    """One growth unit per name; unit t reads in_ch + t*k channels.
 
-    ``feats`` grows in place; the new outputs are returned in order.
+    This is the run of units ``model_spec._growth_run`` counts.
     """
-    start = len(feats)
-    for u in units:
-        feats.append(u.forward(_concat(feats), time=time, mode=mode,
-                               dropout_p=dropout_p, rng=rng))
-    return feats[start:]
+    return [GrowthUnit(store, name, in_ch + t * k, k, subnet, time_plane=time_plane, rng=rng)
+            for t, name in enumerate(names)]
+
+
+def _dense_growth(y, groups, label, time=None, mode="train", dropout_p=0.0, rng=None):
+    """The dense-growth rule: each unit reads concat(y, every earlier output).
+
+    Group i of units runs under ``op_scope(f"{label}{i}")``; returns the
+    concat of each group's outputs, in order.
+    """
+    feats = [y]
+    outs = []
+    for i, units in enumerate(groups):
+        with op_scope(f"{label}{i}"):
+            start = len(feats)
+            for u in units:
+                feats.append(u.forward(_concat(feats), time=time, mode=mode,
+                                       dropout_p=dropout_p, rng=rng))
+            outs.append(_concat(feats[start:]))
+    return outs
 
 
 class ErkStepBlock:
@@ -162,25 +180,13 @@ class ErkStepBlock:
         self.s, self.m, self.k = s, m, k
         self.channels = m * k
         subnet = subnet or SubnetConfig()
-        self.stages = []
-        t = 0
-        for i in range(s):
-            units = []
-            for j in range(m):
-                units.append(GrowthUnit(store, f"{prefix}.stage{i}.growth{j}",
-                                        self.channels + t * k, k, subnet, rng=rng))
-                t += 1
-            self.stages.append(units)
+        self.stages = [
+            _growth_units(store, [f"{prefix}.stage{i}.growth{j}" for j in range(m)],
+                          (i + 1) * m * k, k, subnet, rng)
+            for i in range(s)]
 
     def forward(self, y, mode="train", dropout_p=0.0, rng=None):
-        if y.shape[1] != self.channels:
-            raise ShapeError(f"erk step expects {self.channels} channels (m*k), got {y.shape[1]}")
-        feats = [y]
-        groups = []
-        for i, units in enumerate(self.stages):
-            with op_scope(f"stage{i}"):
-                groups.append(_concat(_dense_growth(feats, units, mode=mode,
-                                                    dropout_p=dropout_p, rng=rng)))
+        groups = _dense_growth(y, self.stages, "stage", mode=mode, dropout_p=dropout_p, rng=rng)
         return ops.add(y, *groups), groups
 
 
@@ -200,21 +206,15 @@ class IrkStepBlock:
         self.s, self.k = s, k
         self.channels = k
         subnet = subnet or SubnetConfig()
-        self.initializers = [
-            GrowthUnit(store, f"{prefix}.init{j}", (j + 1) * k, k, subnet, rng=rng)
-            for j in range(s)]
+        self.initializers = _growth_units(store, [f"{prefix}.init{j}" for j in range(s)],
+                                          k, k, subnet, rng)
         self.updaters = [
             GrowthUnit(store, f"{prefix}.update{i}", (s - 1) * k, k, subnet, rng=rng)
             for i in range(s)]
 
     def forward(self, y, mode="train", dropout_p=0.0, rng=None):
-        if y.shape[1] != self.channels:
-            raise ShapeError(f"irk step expects {self.channels} channels (k), got {y.shape[1]}")
-        feats = [y]
-        for j, unit in enumerate(self.initializers):
-            with op_scope(f"init{j}"):
-                _dense_growth(feats, [unit], mode=mode, dropout_p=dropout_p, rng=rng)
-        initials = feats[1:]
+        initials = _dense_growth(y, [[u] for u in self.initializers], "init",
+                                 mode=mode, dropout_p=dropout_p, rng=rng)
         updated = []
         for i, unit in enumerate(self.updaters):
             with op_scope(f"update{i}"):
@@ -240,10 +240,9 @@ class TimeChannelStepBlock:
         self.channels = m * k
         subnet = subnet or SubnetConfig()
         # units may be shared across a period's steps; the step-size scalar never is
-        self.units = units if units is not None else [
-            GrowthUnit(store, f"{prefix}.growth{j}", self.channels + j * k, k,
-                       subnet, time_plane=True, rng=rng)
-            for j in range(m)]
+        self.units = units if units is not None else _growth_units(
+            store, [f"{prefix}.growth{j}" for j in range(m)], self.channels, k, subnet, rng,
+            time_plane=True)
         self.theta = store.add_param(f"{prefix}.log_step_ratio", np.zeros(()))
 
     def step_ratio(self):
@@ -251,17 +250,12 @@ class TimeChannelStepBlock:
         return float(np.exp(self.theta.value.data))
 
     def forward(self, y, t_over_u, mode="train", dropout_p=0.0, rng=None):
-        if y.shape[1] != self.channels:
-            raise ShapeError(f"time-channel step expects {self.channels} channels, got {y.shape[1]}")
         n, _, h, w = y.shape
         if not isinstance(t_over_u, Tensor):
             t_over_u = Tensor(np.asarray(t_over_u, dtype=y.data.dtype).reshape(()))
         plane = ops.broadcast_plane(t_over_u, n, 1, h, w)
-        feats = [y]
-        for j, u in enumerate(self.units):
-            with op_scope(f"growth{j}"):
-                _dense_growth(feats, [u], time=plane, mode=mode, dropout_p=dropout_p, rng=rng)
-        q = _concat(feats[1:])
+        q = _concat(_dense_growth(y, [[u] for u in self.units], "growth", time=plane,
+                                  mode=mode, dropout_p=dropout_p, rng=rng))
         ratio = ops.exp(self.theta.value)
         y_next = ops.add(y, ops.mul_scalar(q, ratio))
         return y_next, ops.add(t_over_u, ratio)

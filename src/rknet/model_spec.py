@@ -193,9 +193,10 @@ def _rule_violations(spec):
 
 
 def _growth_rate(value):
-    if (k := int(value)) < 1:
-        raise ConfigError(f"growth_rate must be at least 1, got {value}", "growth_rate")
-    return k
+    try:
+        return as_count(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"growth_rate: {exc}", "growth_rate") from None
 
 
 def convert_densenet(block_depths, growth_rate, input_channels_per_block):
@@ -309,11 +310,13 @@ def count_parameters(spec):
 # Config documents
 
 def read_fields(obj, readers):
-    """Read each field of dataclass obj by readers[its type]; None stays where it is the default."""
+    """Read each field of dataclass obj by readers[its name], else readers[its type].
+
+    None stays where it is the default."""
     for f in fields(obj):
         if (value := getattr(obj, f.name)) is not None or f.default is not None:
             try:
-                setattr(obj, f.name, readers[f.type](value))
+                setattr(obj, f.name, (readers.get(f.name) or readers[f.type])(value))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(str(exc), f.name) from None
 

@@ -10,7 +10,8 @@ import numpy as np
 from . import network, ops
 from .atomic import atomic_write
 from .data import augment_cifar
-from .model_spec import ConfigError, as_flag, as_integer, as_number, as_tuple, read_fields
+from .model_spec import (ConfigError, as_count, as_flag, as_integer, as_number, as_tuple,
+                         read_fields)
 from .rng import make_rng
 from .tensor import NonFiniteError, Tape, backward, set_debug
 
@@ -20,9 +21,16 @@ class TrainingDivergedError(RuntimeError):
     evaluation's mean loss turns non-finite."""
 
 
+def _as_seed(value):
+    """A seed: an as_integer value that a checkpoint's uint64 __seed__ entry can hold."""
+    if not 0 <= (seed := as_integer(value)) < 2**64:
+        raise ValueError(f"expected an integer in [0, 2**64), got {value!r}")
+    return seed
+
+
 @dataclass
 class TrainConfig:
-    """Training settings; ``__post_init__`` checks each field by its type's reader.
+    """Training settings; ``__post_init__`` checks each field by its name's or type's reader.
 
     A rejected value raises a ``ConfigError`` whose ``key`` is its field."""
 
@@ -38,13 +46,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        read_fields(self, {int: as_integer, float: as_number, bool: as_flag,
-                           tuple: as_tuple(as_number)})
-        if self.epochs < 1:
-            raise ConfigError(f"at least 1 epoch required, got {self.epochs}", "epochs")
-        if self.batch_size < 1:
-            raise ConfigError(f"must be at least 1, got {self.batch_size}", "batch_size")
-        for name in ("lr0", "momentum", "weight_decay", "seed"):
+        read_fields(self, {int: as_count, float: as_number, bool: as_flag,
+                           tuple: as_tuple(as_number), "seed": _as_seed})
+        for name in ("lr0", "momentum", "weight_decay"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"must be nonnegative, got {getattr(self, name)}", name)
         if self.lr_drop_factor <= 0:

@@ -82,10 +82,16 @@ class TestErkStepBlock:
                 assert u.in_ch == blk.channels + t * blk.k
                 t += 1
 
-    def test_channel_mismatch_rejected(self):
-        store, blk = build_erk()
+    @pytest.mark.parametrize("kind", ["erk", "irk", "time_channel"])
+    def test_channel_mismatch_rejected(self, kind):
+        # each step's first growth unit checks the state width
+        if kind == "time_channel":
+            blk = TimeChannelStepBlock(ParamStore(), "blk", 2, 4, rng=make_rng(0, "t"))
+        else:
+            _, blk = build_erk(m=2) if kind == "erk" else build_irk(s=3)
+        y = rand_state(np.random.default_rng(2), blk.channels + 1)
         with pytest.raises(ShapeError, match="channels"):
-            blk.forward(rand_state(np.random.default_rng(2), blk.channels + 1))
+            blk.forward(y, *([0.0] if kind == "time_channel" else []))
 
     def test_output_adds_groups_to_state(self):
         store, blk = build_erk(s=2, m=1, k=3, seed=4)

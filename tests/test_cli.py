@@ -175,6 +175,18 @@ def test_augment_on_images_not_32x32_exits_1_before_the_model_is_built(
     assert err.startswith("error: augment needs 32x32 images, config has input_shape (3, 8, 8)")
 
 
+def test_seed_a_checkpoint_cannot_hold_exits_1_before_the_model_is_built(
+        tmp_path, capsys, monkeypatch):
+    # a checkpoint stores the seed as uint64; 2**64 - 1 is the largest it holds
+    assert TrainConfig(epochs=1, seed=2**64 - 1).seed == 2**64 - 1
+    monkeypatch.setattr(cli.network, "build_model", lambda *a, **k: pytest.fail("model built"))
+    out = tmp_path / "run"
+    argv = ["train", "--config", write_config(tmp_path), "--data", "synthetic", *SYN,
+            "--epochs", "1", "--seed", str(2**64), "--out", str(out)]
+    err = assert_rejected(argv, capsys, out)
+    assert err.startswith("error: argument --seed: ")
+
+
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TrainConfig)])
 def test_every_train_setting_is_checked_by_train_config(tmp_path, capsys, name):
     # TrainConfig is the one validator: a field added later is checked on
@@ -534,7 +546,8 @@ class TestTrainEvalInspect:
         code = cli.main(["train", "--config", cfg, "--data", "synthetic", *SYN,
                          "--out", str(tmp_path / "x"), "--epochs", "0"])
         assert code == 1
-        assert "at least 1 epoch" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: argument --epochs: expected an integer of at least 1, got 0\n"
 
     def test_eval_matches_last_csv_row(self, tmp_path, capsys):
         _, out = self._train(tmp_path, "run")

@@ -212,6 +212,17 @@ class TestConvertCliquenet:
         assert ms.render_model_name(spec) == "RKNet-3x1_3x1_3x1"
 
 
+@pytest.mark.parametrize("convert", [lambda k: ms.convert_densenet([12], k, [24]),
+                                     lambda k: ms.convert_cliquenet([3], k)],
+                         ids=["densenet", "cliquenet"])
+@pytest.mark.parametrize("growth_rate", [12.7, "12", True])
+def test_growth_rate_that_is_not_an_integer_is_rejected(convert, growth_rate):
+    # int() would build k=12 from 12.7 and "12", and k=1 from True
+    with pytest.raises(ms.ConfigError) as exc:
+        convert(growth_rate)
+    assert exc.value.key == "growth_rate"
+
+
 class TestCountParameters:
     CONFIGS = [
         {"name": "IRKNet-2x1_2x1", "k": 12, "input_shape": [3, 16, 16], "num_classes": 4},

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rknet import model_spec as ms
 from rknet import network, ops
 from rknet.rng import make_rng
-from rknet.tensor import ShapeError, Tape, Tensor, backward
+from rknet.tensor import NonFiniteError, ShapeError, Tape, Tensor, backward, set_debug
 
 from oracles import fd_gradcheck, forged_checkpoints, forged_headers
 
@@ -79,6 +79,26 @@ class TestForward:
         model = build()
         with pytest.raises(ShapeError, match="input_shape"):
             network.forward(model, batch(np.random.default_rng(2), shape=(3, 8, 8)))
+
+    @pytest.mark.parametrize("param,label", [
+        ("period0.step0.stage1.growth0.conv.w", "period0/step0/stage1:conv2d"),
+        ("period1.step1.growth1.conv.w", "period1/step1/growth1:conv2d"),
+        ("period2.step0.init2.conv.w", "period2/step0/init2:conv2d"),
+        ("period2.step0.update1.conv.w", "period2/step0/update1:conv2d")])
+    def test_nonfinite_growth_output_is_named_by_its_scope(self, param, label):
+        # each growth unit's ops run under its step's group scope
+        cfg = {"name": "RKNet-2x1_1x2_3x1", "kind": ["erk", "time_channel", "irk"],
+               "m": [1, 2, 1], "k": 4, "input_shape": [3, 8, 8], "num_classes": 4}
+        model = build(cfg)
+        model.store.params[param].value.data[0, 0, 0, 0] = np.nan
+        set_debug(True)
+        try:
+            with pytest.raises(NonFiniteError) as exc:
+                network.forward(model, batch(np.random.default_rng(5), shape=(3, 8, 8)),
+                                mode="train", rng=make_rng(0, "dropout"))
+        finally:
+            set_debug(False)
+        assert exc.value.label == label
 
     def _zero_period_increments(self, model, p_idx):
         for blk in model.periods[p_idx]:

@@ -147,10 +147,20 @@ MUTANTS = [
            ("tests/test_parallel.py::test_an_interrupt_while_waiting_leaves_the_pool_usable",)),
     # settings and files
     Mutant("settings-bool-skips-reader", "src/rknet/model_spec.py",
-           "setattr(obj, f.name, readers[f.type](value))",
-           "setattr(obj, f.name, value if f.type is bool else readers[f.type](value))",
+           "setattr(obj, f.name, (readers.get(f.name) or readers[f.type])(value))",
+           "setattr(obj, f.name, value if f.type is bool else\n"
+           "                    (readers.get(f.name) or readers[f.type])(value))",
            ("tests/test_train.py::TestTrainConfig::test_rejects_wrong_types_and_non_finite_values",
             "tests/test_cli.py::test_malformed_config_exits_1_with_an_error_line")),
+    Mutant("seed-unbounded-above", TRAIN,
+           "if not 0 <= (seed := as_integer(value)) < 2**64:",
+           "if (seed := as_integer(value)) < 0:",
+           ("tests/test_cli.py::"
+            "test_seed_a_checkpoint_cannot_hold_exits_1_before_the_model_is_built",)),
+    Mutant("growth-rate-read-with-int", "src/rknet/model_spec.py",
+           "return as_count(value)",
+           "return as_count(int(value))",
+           ("tests/test_model_spec.py::test_growth_rate_that_is_not_an_integer_is_rejected",)),
     Mutant("cli-augment-check-dropped", "src/rknet/cli.py",
            "if config.augment and spec.input_shape[1:] != (32, 32):",
            "if False:",
@@ -164,7 +174,12 @@ MUTANTS = [
            "",
            ("tests/test_cli.py::TestTrainEvalInspect::"
             "test_out_that_cannot_be_a_directory_exits_1_before_any_data_is_made",)),
-    # the pre-activation unit
+    # the block wiring
+    Mutant("dense-growth-scope-off-by-one", "src/rknet/blocks.py",
+           'with op_scope(f"{label}{i}"):',
+           'with op_scope(f"{label}{i + 1}"):',
+           ("tests/test_network.py::TestForward::"
+            "test_nonfinite_growth_output_is_named_by_its_scope",)),
     Mutant("preact-drops-time-plane", "src/rknet/blocks.py",
            "h = ops.concat_channels([h, time])",
            "h = ops.concat_channels([h, ops.scale(time, 0.0)])",
