@@ -6,21 +6,24 @@ padded channel-major copy of the input and shift-adds the partial products
 an independent oracle.  The BN -> ReLU -> conv chain of the pre-activation
 unit (``blocks._preact_conv``) is written to touch each activation as few
 times as numpy allows: batchnorm is one per-channel affine map of its input,
-allocates only its output and builds its backward from the input the tape
-holds and per-channel sums, with no normalized copy; relu keeps no mask;
+allocates only its output and builds its backward from its input and
+per-channel sums, with no normalized copy; relu keeps no mask;
 conv2d keeps no padded copy and rebuilds it in its backward from the input.
 Dropout keeps a boolean mask, not the scaled factors.  Each op computes in
-its input's dtype.  conv2d, batchnorm2d and relu run their passes in chunks
-on the calling thread plus a worker pool (``parallel.run``); a chunk never
-splits a sum, so results do not depend on the number of threads.
+its input's dtype.  conv2d, batchnorm2d, relu, concat_channels and add run
+their passes in chunks on the calling thread plus a worker pool
+(``parallel.run``); a chunk never splits a sum, so results do not depend on
+the number of threads.
 
-Backward closures capture the arrays and shapes they read, never a tensor;
-while tape nodes hold their tensors this frees nothing, but it leaves the
-nodes as the only owners.  The closures of conv2d, batchnorm2d and
-fully_connected read the op's input itself (relu's reads its output), so an
-array an op has read or written must not change between its forward and its
-backward.  Every op records itself on the active tape (if any) and is pure
-given its inputs and rng.
+Backward closures capture the arrays and shapes they read, never a tensor.
+Tape nodes keep only serial numbers and a weak reference to the output, so
+the closures are the only owners the tape adds: an output that no closure
+reads, such as batchnorm's (relu reads its own output) or conv2d's (concat
+copies it), is freed as soon as the forward drops it.  The closures of
+conv2d, batchnorm2d and fully_connected read the op's input itself (relu's
+reads its output), so an array an op has read or written must not change
+between its forward and its backward.  Every op records itself on the
+active tape (if any) and is pure given its inputs and rng.
 """
 
 import numpy as np
@@ -65,8 +68,8 @@ def conv2d(x, w, stride=1, pad=0):
     tail), then its k*k row groups are shifted by their offsets and added in
     tap order.  This is the kn2row scheme of Anderson et al.,
     arXiv:1709.03395, per cache-sized block.  ``xf`` is freed when the
-    forward returns; the backward holds x and rebuilds ``xf`` from it,
-    so x must not change between the two passes (rebuilding a cheap copy
+    forward returns; the backward closure keeps x and rebuilds ``xf`` from
+    it, so x must not change between the two passes (rebuilding a cheap copy
     instead of keeping it, as in Pleiss et al., arXiv:1707.06990).  The
     backward walks the same blocks: it fills a fixed (k*k, O, block) scratch
     with the wide output gradient shifted back by each tap's offset and gets
@@ -216,9 +219,10 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
     shifted in place.  Centring first keeps the rounding of the output small
     when |mu| >> sigma, where ``x * a + (beta - mu * a)`` would not.
 
-    The backward reads x, which the tape holds anyway, and per-channel
-    numbers.  The channel sums of g and of g*x give ``sum g*xhat = inv *
-    (sum g*x - mu * sum g)`` (Ioffe & Szegedy, arXiv:1502.03167); they are
+    The backward closure keeps x, the only x-sized array it holds, and
+    per-channel numbers, so the output is freed once its reader is done.
+    The channel sums of g and of g*x give ``sum g*xhat = inv * (sum g*x -
+    mu * sum g)`` (Ioffe & Szegedy, arXiv:1502.03167); they are
     taken in float64, as the difference cancels when |mu| >> sigma.  Then
     ``gx = a * (g + r*x) + q`` with per-channel r and q in train mode, and
     ``gx = a * g`` in eval mode, where the statistics do not depend on x; no
@@ -301,16 +305,21 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
 # ---------------------------------------------------------------------------
 # Pointwise and structural ops
 
+def _images(arr):
+    """``parallel.spans`` chunks of arr's leading axis; a 0-d array is one chunk."""
+    return parallel.spans(len(arr), arr[:1].nbytes) if arr.ndim else [...]
+
+
 def relu(x):
     """max(x, 0), with gradient g * [x > 0].
 
-    The backward rebuilds the mask from the output, which the tape holds
-    anyway, so no mask is kept.  -0.0 maps to +0.0 and a NaN input stays NaN
-    (``np.maximum`` propagates it); its gradient is 0.
+    The backward closure keeps the output and rebuilds the mask from it, so
+    no mask is kept and the input can be freed.  -0.0 maps to +0.0 and a NaN
+    input stays NaN (``np.maximum`` propagates it); its gradient is 0.
     """
     xd = x.data
     out = np.empty(xd.shape, dtype=xd.dtype)
-    images = parallel.spans(len(xd), xd[:1].nbytes) if xd.ndim else [...]
+    images = _images(xd)
     parallel.run(lambda s, slot: np.maximum(xd[s], 0, out=out[s]), images)
 
     def backward_fn(g):
@@ -338,9 +347,15 @@ def add(a, b, *rest):
     terms = (a, b, *rest)
     if any(t.shape != a.shape for t in terms):
         raise ShapeError(f"add shape mismatch: {' vs '.join(str(t.shape) for t in terms)}")
-    out = a.data + b.data
-    for t in rest:
-        out += t.data
+    ad, bd = a.data, b.data
+    out = np.empty(ad.shape, dtype=np.result_type(ad, bd))
+
+    def add_images(s, slot):
+        outs = np.add(ad[s], bd[s], out=out[s])
+        for t in rest:
+            np.add(outs, t.data[s], out=outs)
+
+    parallel.run(add_images, _images(ad))
     count = len(terms)
     return _emit(terms, out, lambda g: (g,) * count, "add")
 
@@ -385,11 +400,17 @@ def concat_channels(xs):
     for t in xs[1:]:
         if t.ndim != xs[0].ndim or t.shape[0] != base[0] or t.shape[2:] != base[2:]:
             raise ShapeError(f"concat_channels shape mismatch: {[t.shape for t in xs]}")
-    sizes = [t.shape[1] for t in xs]
-    out = np.concatenate([t.data for t in xs], axis=1)
+    bounds = np.cumsum([0, *(t.shape[1] for t in xs)])
+    out = np.empty((base[0], bounds[-1], *base[2:]), dtype=np.result_type(*(t.data for t in xs)))
+
+    def copy_images(s, slot):
+        for t, start, stop in zip(xs, bounds[:-1], bounds[1:]):
+            out[s, start:stop] = t.data[s]
+
+    parallel.run(copy_images, _images(out))
 
     def backward_fn(gout):
-        return tuple(np.split(gout, np.cumsum(sizes)[:-1], axis=1))
+        return tuple(np.split(gout, bounds[1:-1], axis=1))
 
     return _emit(tuple(xs), out, backward_fn, "concat_channels")
 

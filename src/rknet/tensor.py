@@ -3,8 +3,16 @@
 The tape records every differentiable op executed while it is active and
 replays them in exact reverse order on ``backward``.  A tape is single-use.
 Gradients accumulate additively into ``Parameter.grad`` until ``zero_grad``.
+
+Every tensor has a serial number, unique in the process.  A tape node keeps
+the serials of its op's inputs and output and only a weak reference to the
+output, so an intermediate that no backward closure reads is freed as soon as
+the forward drops it.  Gradients are keyed by serial, not by ``id()``, which
+a new tensor can take over from a freed one.
 """
 
+import itertools
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -28,10 +36,13 @@ class NonFiniteError(FloatingPointError):
         self.label = label
 
 
+_SERIALS = itertools.count()
+
+
 class Tensor:
     """A dense float array (row-major) used by all network math."""
 
-    __slots__ = ("data", "_param")
+    __slots__ = ("data", "_param", "serial", "__weakref__")
 
     def __init__(self, data, dtype=None):
         if isinstance(data, Tensor):
@@ -43,6 +54,7 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self._param = None
+        self.serial = next(_SERIALS)
 
     @property
     def shape(self):
@@ -89,12 +101,22 @@ class Parameter:
 
 
 class _Node:
-    __slots__ = ("inputs", "output", "backward_fn")
+    """One recorded op: its input serials, its output serial, a weak reference
+    to its output and the closure that maps the output's gradient to its inputs'."""
+
+    __slots__ = ("inputs", "output_serial", "_output", "backward_fn")
 
     def __init__(self, inputs, output, backward_fn):
-        self.inputs = inputs
-        self.output = output
+        self.inputs = tuple(t.serial for t in inputs)
+        self.output_serial = output.serial
+        self._output = weakref.ref(output)
         self.backward_fn = backward_fn
+
+    @property
+    def output(self):
+        """The output tensor while anything else holds it, else an empty tensor."""
+        out = self._output()
+        return Tensor(np.empty(0)) if out is None else out
 
 
 _TAPE_STACK = []
@@ -109,10 +131,10 @@ class Tape:
         self.consumed = False
 
     def record(self, inputs, output, backward_fn):
-        self._nodes.append(_Node(tuple(inputs), output, backward_fn))
+        self._nodes.append(_Node(inputs, output, backward_fn))
         for t in inputs:
             if t._param is not None:
-                self._param_tensors[id(t)] = t._param
+                self._param_tensors[t.serial] = t._param
 
     def __len__(self):
         return len(self._nodes)
@@ -140,31 +162,29 @@ def backward(tape, loss):
         raise TapeError("tape already consumed by a previous backward pass")
     if loss.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
+    if not any(node.output_serial == loss.serial for node in tape._nodes):
+        raise TapeError("loss was not produced under this tape")
     tape.consumed = True
 
-    grads = {id(loss): np.ones_like(loss.data)}
-    produced = {id(node.output) for node in tape._nodes}
-    if id(loss) not in produced:
-        raise TapeError("loss was not produced under this tape")
-
+    grads = {loss.serial: np.ones_like(loss.data)}
     # pop each node as it runs, so its closure's arrays are freed during the pass
     nodes = tape._nodes
     while nodes:
         node = nodes.pop()
-        gout = grads.pop(id(node.output), None)
+        gout = grads.pop(node.output_serial, None)
         if gout is None:
             continue
         gins = node.backward_fn(gout)
-        for t, g in zip(node.inputs, gins):
+        for serial, g in zip(node.inputs, gins):
             if g is None:
                 continue
-            acc = grads.get(id(t))
+            acc = grads.get(serial)
             # never accumulate in place: a backward_fn may hand the same array
             # to several inputs (e.g. add), so stored grads must stay frozen
-            grads[id(t)] = g if acc is None else acc + g
+            grads[serial] = g if acc is None else acc + g
 
-    for tid, param in tape._param_tensors.items():
-        g = grads.get(tid)
+    for serial, param in tape._param_tensors.items():
+        g = grads.get(serial)
         if g is not None:
             param.grad.data += g
 

@@ -2,6 +2,7 @@
 
 import inspect
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -110,8 +111,7 @@ def captured(fn):
 
 
 def test_backward_closures_hold_arrays_not_tensors():
-    # the nodes name a closure's tensors; a closure that kept one as well would
-    # keep its data alive for as long as the closure
+    # a closure that kept a tensor would keep its data alive for as long as the closure
     cfg = {"name": "RKNet-2x1_1x2_2x1", "kind": ["erk", "time_channel", "irk"], "k": 4,
            "input_shape": [3, 8, 8], "num_classes": 4, "attentional_transition": True,
            "multiscale": True}
@@ -134,18 +134,91 @@ def test_backward_closures_hold_arrays_not_tensors():
                  and name != "_emit" and "_emit(" in inspect.getsource(fn)}
     assert set(names) == recording
     for name, node in zip(names, nodes):
-        held = captured(node.backward_fn)
-        assert not any(isinstance(v, Tensor) for v in held), name
-        if name == "batchnorm2d":   # it reads x and per-channel numbers, never its output
-            assert all(v is not node.output.data for v in held)
-        arrays = [v for v in held if isinstance(v, np.ndarray)]
-        if name == "conv2d":   # the input itself and the taps, no padded copy
-            x_data, w_data = (t.data for t in node.inputs)
-            assert any(v is x_data for v in arrays)
-            assert all(v.size == w_data.size for v in arrays if v is not x_data)
-        if name == "dropout":   # a boolean mask, not the scaled factors
-            size = node.output.data.size
-            assert [v.dtype for v in arrays if v.size == size] == [np.dtype(bool)]
+        assert not any(isinstance(v, Tensor) for v in captured(node.backward_fn)), name
+
+    # what three closures hold, each checked while the test holds the op's tensors
+    w = Tensor(np.random.default_rng(1).normal(size=(4, 3, 3, 3)))
+    with Tape() as tape:
+        ops.conv2d(x, w, stride=1, pad=1)
+    arrays = [v for v in captured(tape._nodes[-1].backward_fn) if isinstance(v, np.ndarray)]
+    # the input itself and the taps, no padded copy
+    assert any(v is x.data for v in arrays)
+    assert all(v.size == w.size for v in arrays if v is not x.data)
+    gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
+    for mode in ("train", "eval"):
+        with Tape() as tape:
+            out = ops.batchnorm2d(x, gamma, beta, np.zeros(3), np.ones(3), mode)
+        # it reads x and per-channel numbers, never its output
+        assert all(v is not out.data for v in captured(tape._nodes[-1].backward_fn)), mode
+    with Tape() as tape:
+        out = ops.dropout(x, 0.2, "train", np.random.default_rng(2))
+    arrays = [v for v in captured(tape._nodes[-1].backward_fn) if isinstance(v, np.ndarray)]
+    # a boolean mask, not the scaled factors
+    assert [v.dtype for v in arrays if v.size == out.size] == [np.dtype(bool)]
+
+
+def test_an_intermediate_no_closure_reads_is_freed_during_the_forward():
+    # relu's backward reads its output and concat's only channel offsets, so the
+    # batchnorm output goes once relu has read it and the conv output once
+    # concat_channels has copied it; the tape's weak view then reads empty
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(2, 3, 8, 8)), dtype="float64")
+    w = make_param(rng, (4, 3, 3, 3), "w")
+    gamma = Parameter(Tensor(np.ones(3), dtype="float64"), "gamma")
+    beta = Parameter(Tensor(np.zeros(3), dtype="float64"), "beta")
+
+    def run(held):
+        """One forward and backward; ``held`` is None or a list that keeps the
+        intermediates alive.  Returns which arrays were freed by the end of the
+        forward, the sizes of the tape's output views and the gradients."""
+        with Tape() as tape:
+            normed = ops.batchnorm2d(x, gamma.value, beta.value, np.zeros(3), np.ones(3), "train")
+            normed_data = weakref.ref(normed.data)
+            h = ops.relu(normed)
+            conv = ops.conv2d(h, w.value, stride=1, pad=1)
+            conv_data = weakref.ref(conv.data)
+            joined = ops.concat_channels([h, conv])
+            if held is not None:
+                held += [normed, conv]
+            del normed, conv
+            loss = ops.sum_all(joined)
+        freed = (normed_data() is None, conv_data() is None)
+        sizes = [node.output.size for node in tape._nodes]
+        backward(tape, loss)
+        grads = [p.grad.data.copy() for p in (w, gamma, beta)]
+        for p in (w, gamma, beta):
+            p.zero_grad()
+        return freed, sizes, grads
+
+    freed, sizes, grads_held = run([])
+    assert freed == (False, False)
+    assert sizes[:4] == [x.size, x.size, 2 * 4 * 8 * 8, 2 * 7 * 8 * 8]
+    freed, sizes, grads = run(None)
+    assert freed == (True, True)
+    assert sizes[:4] == [0, x.size, 0, 2 * 7 * 8 * 8]   # batchnorm, relu, conv, concat
+    for p, before, after in zip((w, gamma, beta), grads_held, grads):
+        assert np.array_equal(after, before), p.name
+
+
+def test_gradients_stay_correct_when_a_freed_tensors_id_is_reused():
+    # CPython hands a freed object's id() to a new one; keyed by id, the new
+    # leaf's gradient would be added to the freed tensor's
+    p = Parameter(Tensor(np.ones(3), dtype="float64"), "p")
+    with Tape() as tape:
+        doubled = ops.scale(p.value, 2.0)
+        tripled = ops.scale(doubled, 3.0)   # its closure keeps only the constant
+        freed = id(doubled)
+        del doubled
+        fresh = [None] * 100
+        for i in range(len(fresh)):
+            fresh[i] = Tensor(np.ones(3), dtype="float64")
+            if id(fresh[i]) == freed:
+                break
+        leaf = fresh[i]
+        assert id(leaf) == freed, "the scaled tensor was not freed, so its id stays taken"
+        loss = ops.sum_all(ops.add(tripled, leaf))
+    backward(tape, loss)
+    assert np.array_equal(p.grad.data, np.full(3, 6.0))
 
 
 def test_non_scalar_loss_rejected():
@@ -166,6 +239,23 @@ def test_loss_from_other_tape_rejected():
         ops.sum_all(x)
     with pytest.raises(TapeError, match="not produced"):
         backward(other, loss)
+
+
+def test_a_rejected_loss_leaves_the_tape_usable():
+    # every check runs before the tape is consumed
+    x = Tensor(np.array([[1.0, -2.0, 3.0]]), dtype="float64")
+    w = Parameter(Tensor(np.zeros((3, 1)), dtype="float64"), "w")
+    b = Parameter(Tensor(np.zeros(1), dtype="float64"), "b")
+    with Tape() as tape:
+        loss = ops.sum_all(ops.fully_connected(x, w.value, b.value))
+    with Tape():
+        stray = ops.sum_all(x)
+    with pytest.raises(TapeError, match="not produced"):
+        backward(tape, stray)
+    with pytest.raises(TapeError, match="scalar"):
+        backward(tape, ops.scale(x, 1.0))
+    backward(tape, loss)
+    assert np.array_equal(w.grad.data, x.data.T)
 
 
 def test_parameter_grad_shape_tracks_value():

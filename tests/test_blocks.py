@@ -108,7 +108,8 @@ def test_summation_layer_is_one_add_node_in_stage_order(kind):
         y_next, *_, groups = blk.forward(y, mode="train", dropout_p=0.2, rng=make_rng(0, "sum"))
     adds = [node for node in tape._nodes if node.backward_fn.__qualname__.startswith("add.")]
     assert len(adds) == 1
-    assert adds[0].inputs == (y, *groups) and adds[0].output is y_next
+    assert adds[0].inputs == (y.serial, *(g.serial for g in groups))
+    assert adds[0].output is y_next
     chain = y.data
     for g in groups:
         chain = chain + g.data

@@ -457,6 +457,19 @@ class TestStructuralOps:
         gins = tape._nodes[0].backward_fn(gout)
         assert len(gins) == 4 and all(g is gout for g in gins)
 
+    def test_concat_and_add_over_several_chunks_match_numpy_bitwise(self, monkeypatch):
+        # a few images per chunk, so the pool's participants each copy and add some
+        monkeypatch.setattr(parallel, "CHUNK_BYTES", 2 * 5 * 3 * 3 * 8)
+        rng = np.random.default_rng(22)
+        parts = [rng.normal(size=(9, c, 3, 3)) * 10.0 ** e for c, e in ((1, 0), (3, 7), (1, -7))]
+        whole = ops.concat_channels([Tensor(x) for x in parts])
+        assert whole.data.tobytes() == np.concatenate(parts, axis=1).tobytes()
+        xs = [rng.normal(size=(9, 2, 3, 3)) * 10.0 ** e for e in (0, 7, -7)]
+        assert ops.add(*map(Tensor, xs)).data.tobytes() == ((xs[0] + xs[1]) + xs[2]).tobytes()
+        scalars = [np.asarray(v) for v in (0.1, 0.2, 0.3)]   # 0-d terms, one chunk
+        got = ops.add(*map(Tensor, scalars)).data
+        assert got.shape == () and got == (scalars[0] + scalars[1]) + scalars[2]
+
     def test_add_names_every_shape_when_any_term_mismatches(self):
         a = Tensor(np.ones((2, 2)))
         with pytest.raises(ShapeError, match=r"\(2, 2\) vs \(2, 2\) vs \(2, 3\)"):

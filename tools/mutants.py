@@ -145,6 +145,16 @@ MUTANTS = [
            "self.left = queue.SimpleQueue()",
            "self.left = globals().setdefault('_LEFT', queue.SimpleQueue())",
            ("tests/test_parallel.py::test_an_interrupt_while_waiting_leaves_the_pool_usable",)),
+    # the tape
+    Mutant("node-keeps-output", "src/rknet/tensor.py",
+           "self._output = weakref.ref(output)",
+           "self._output = lambda: output",
+           ("tests/test_autodiff.py::"
+            "test_an_intermediate_no_closure_reads_is_freed_during_the_forward",)),
+    Mutant("grads-keyed-by-id", "src/rknet/tensor.py",
+           "self.serial = next(_SERIALS)",
+           "self.serial = id(self)",
+           ("tests/test_autodiff.py::test_gradients_stay_correct_when_a_freed_tensors_id_is_reused",)),
     # settings and files
     Mutant("settings-bool-skips-reader", "src/rknet/model_spec.py",
            "setattr(obj, f.name, (readers.get(f.name) or readers[f.type])(value))",
