@@ -14,9 +14,10 @@ irk Stage-II is the one read that is not a prefix of that list.  Every
 BN -> ReLU -> conv -> dropout sequence, in growth units, both bottleneck
 halves and transitions, is one pre-activation unit (``_preact_conv``; He et
 al., arXiv:1603.05027), the increment a residual step reads as forward
-Euler.  With ``linear_test_mode`` every growth unit collapses to a single
-bias-free 1x1 convolution so the whole step becomes an affine map that can be
-compared against a classical integrator.
+Euler; a growth unit is a list of such layers run in one loop.  With
+``linear_test_mode`` every growth unit is one layer without a BatchNorm, a
+single bias-free 1x1 convolution, so the whole step becomes an affine map
+that can be compared against a classical integrator.
 """
 
 from dataclasses import dataclass
@@ -90,8 +91,12 @@ class BatchNorm:
 
 
 def _preact_conv(bn, w, x, time, mode, dropout_p, rng):
-    """One pre-activation unit: BN -> ReLU -> (time plane appended) -> stride-1 conv -> dropout."""
-    h = ops.relu(bn(x, mode))
+    """One pre-activation unit: BN -> ReLU -> (time plane appended) -> stride-1 conv -> dropout.
+
+    Without a BatchNorm (``bn is None``, linear test mode) the input goes
+    straight to the conv, so the unit is linear in it.
+    """
+    h = x if bn is None else ops.relu(bn(x, mode))
     if time is not None:
         h = ops.concat_channels([h, time])
     h = ops.conv2d(h, w.value, stride=1, pad=w.value.shape[-1] // 2)
@@ -99,21 +104,24 @@ def _preact_conv(bn, w, x, time, mode, dropout_p, rng):
 
 
 class GrowthUnit:
-    """BN -> ReLU -> 3x3 conv producing k new channels.
+    """A chain of pre-activation units producing k new channels.
 
-    With a bottleneck, a 1x1 conv to ``subnet.bottleneck_width`` channels
-    (then BN -> ReLU) precedes the 3x3 conv: two pre-activation units.
-    A raw time plane, when given, is concatenated after BN/ReLU so that
-    normalization never touches it (the 1x1 half's input, with a bottleneck).
-    Dropout follows each convolution.
+    ``layers`` lists (BatchNorm or None, conv weight) pairs, run in order
+    by ``_preact_conv``: a plain unit is BN -> ReLU -> 3x3 conv; with a
+    bottleneck, a 1x1 conv to ``subnet.bottleneck_width`` channels comes
+    first (two pre-activation units); in linear test mode the unit is one
+    bias-free 1x1 conv with no BatchNorm.  A raw time plane, when given,
+    joins the first layer's conv input after BN/ReLU, so normalization never
+    touches it.  Dropout follows each convolution.
     """
 
-    def __init__(self, store, prefix, in_ch, k, subnet, time_plane=False, rng=None):
+    def __init__(self, store, prefix, in_ch, k, subnet=None, time_plane=False, rng=None):
+        subnet = subnet or SubnetConfig()
         self.in_ch = in_ch
-        self.subnet = subnet
         conv_in = in_ch + (1 if time_plane else 0)
         if subnet.linear_test_mode:
             self.w = store.add_param(f"{prefix}.conv.w", np.zeros((k, conv_in, 1, 1)))
+            self.layers = [(None, self.w)]
             return
         self.bn = BatchNorm(store, f"{prefix}.bn", in_ch)
         if subnet.bottleneck_width:
@@ -121,20 +129,16 @@ class GrowthUnit:
             self.w1 = store.add_param(f"{prefix}.conv1x1.w", he_normal(rng, (bw, conv_in, 1, 1)))
             self.bn2 = BatchNorm(store, f"{prefix}.bn2", bw)
             self.w = store.add_param(f"{prefix}.conv.w", he_normal(rng, (k, bw, 3, 3)))
+            self.layers = [(self.bn, self.w1), (self.bn2, self.w)]
         else:
             self.w = store.add_param(f"{prefix}.conv.w", he_normal(rng, (k, conv_in, 3, 3)))
+            self.layers = [(self.bn, self.w)]
 
     def forward(self, x, time=None, mode="train", dropout_p=0.0, rng=None):
-        if x.shape[1] != self.in_ch:
-            raise ShapeError(f"growth unit expects {self.in_ch} input channels, "
-                             f"got {x.shape[1]} (input shape {x.shape})")
-        if self.subnet.linear_test_mode:
-            h = ops.concat_channels([x, time]) if time is not None else x
-            return ops.conv2d(h, self.w.value, stride=1, pad=0)
-        if self.subnet.bottleneck_width:
-            x = _preact_conv(self.bn, self.w1, x, time, mode, dropout_p, rng)
-            return _preact_conv(self.bn2, self.w, x, None, mode, dropout_p, rng)
-        return _preact_conv(self.bn, self.w, x, time, mode, dropout_p, rng)
+        # only the first layer reads the time plane
+        for bn, w in self.layers:
+            x, time = _preact_conv(bn, w, x, time, mode, dropout_p, rng), None
+        return x
 
 
 def _concat(xs):
@@ -174,12 +178,9 @@ class ErkStepBlock:
     mk-channel group; y_{n+1} = y_n + sum of groups.
     """
 
-    kind = "erk"
-
     def __init__(self, store, prefix, s, m, k, subnet=None, rng=None):
         self.s, self.m, self.k = s, m, k
         self.channels = m * k
-        subnet = subnet or SubnetConfig()
         self.stages = [
             _growth_units(store, [f"{prefix}.stage{i}.growth{j}" for j in range(m)],
                           (i + 1) * m * k, k, subnet, rng)
@@ -198,14 +199,11 @@ class IrkStepBlock:
     -- updated groups before it, initial groups after it, y_n excluded.
     """
 
-    kind = "irk"
-
     def __init__(self, store, prefix, s, k, subnet=None, rng=None):
         if s <= 1:
             raise ValueError(f"irk step needs s > 1 for alternate updating, got s={s}")
         self.s, self.k = s, k
         self.channels = k
-        subnet = subnet or SubnetConfig()
         self.initializers = _growth_units(store, [f"{prefix}.init{j}" for j in range(s)],
                                           k, k, subnet, rng)
         self.updaters = [
@@ -233,12 +231,9 @@ class TimeChannelStepBlock:
     ratio.  BN and ReLU never touch the time plane.
     """
 
-    kind = "time_channel"
-
     def __init__(self, store, prefix, m, k, subnet=None, rng=None, units=None):
         self.m, self.k = m, k
         self.channels = m * k
-        subnet = subnet or SubnetConfig()
         # units may be shared across a period's steps; the step-size scalar never is
         self.units = units if units is not None else _growth_units(
             store, [f"{prefix}.growth{j}" for j in range(m)], self.channels, k, subnet, rng,
@@ -276,8 +271,6 @@ class AttentionalGate:
         self.b2 = store.add_param(f"{prefix}.fc2.b", np.zeros(channels))
 
     def forward(self, x):
-        if x.shape[1] != self.channels:
-            raise ShapeError(f"attentional gate expects {self.channels} channels, got {x.shape[1]}")
         g = ops.global_avg_pool(x)
         g = ops.relu(ops.fully_connected(g, self.w1.value, self.b1.value))
         g = ops.sigmoid(ops.fully_connected(g, self.w2.value, self.b2.value))

@@ -127,7 +127,7 @@ def forward(model, x, mode="eval", rng=None):
             t_over_u = 0.0
             for s_idx, blk in enumerate(blocks):
                 with op_scope(f"step{s_idx}"):
-                    if blk.kind == "time_channel":
+                    if isinstance(blk, TimeChannelStepBlock):
                         h, t_over_u = blk.forward(h, t_over_u, mode=mode,
                                                   dropout_p=model.dropout_p, rng=rng)
                     else:

@@ -216,7 +216,8 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
     toward them in place, by ``BN_MOMENTUM``.  Eval mode takes them from a
     copy of those arrays and leaves them.  The output is the only x-sized
     array the forward allocates: x is centred into it, then scaled and
-    shifted in place.  Centring first keeps the rounding of the output small
+    shifted in place (eval mode centres in the same pass, per group of
+    images).  Centring first keeps the rounding of the output small
     when |mu| >> sigma, where ``x * a + (beta - mu * a)`` would not.
 
     The backward closure keeps x, the only x-sized array it holds, and
@@ -259,14 +260,13 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
         # a copy: a later train-mode call updates running_mean in place
         # before this call's backward runs
         mu, var = running_mean.copy(), running_var
-        centre = mu.reshape(per_channel)
-        parallel.run(lambda s, slot: np.subtract(xd[s], centre, out=out[s]), images)
     inv = 1.0 / np.sqrt(var + BN_EPS)
     a = (gamma.data * inv).reshape(per_channel)
     b = beta.data.reshape(per_channel)
+    centre = mu.reshape(per_channel)
 
-    def normalize(s, slot):   # out holds x - mu
-        outs = out[s]
+    def normalize(s, slot):   # train mode's out already holds x - mu
+        outs = out[s] if train else np.subtract(xd[s], centre, out=out[s])
         outs *= a
         outs += b
 
@@ -343,12 +343,13 @@ def exp(x):
 
 
 def add(a, b, *rest):
-    """((a + b) + c) + ... of one dtype into one array and one tape node; each gradient is gout."""
+    """((a + b) + c) + ... into one array, in the dtype of all terms, and one tape node;
+    each gradient is gout."""
     terms = (a, b, *rest)
     if any(t.shape != a.shape for t in terms):
         raise ShapeError(f"add shape mismatch: {' vs '.join(str(t.shape) for t in terms)}")
     ad, bd = a.data, b.data
-    out = np.empty(ad.shape, dtype=np.result_type(ad, bd))
+    out = np.empty(ad.shape, dtype=np.result_type(*(t.data for t in terms)))
 
     def add_images(s, slot):
         outs = np.add(ad[s], bd[s], out=out[s])

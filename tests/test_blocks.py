@@ -228,6 +228,18 @@ class TestTimeChannelStepBlock:
         assert np.abs(shift).min() > 1e-3
         assert np.allclose(moved.data - base.data, shift, rtol=0, atol=1e-12)
 
+    def test_time_plane_reaches_only_a_bottleneck_units_1x1_half(self):
+        # the 1x1 conv reads [BN/ReLU(y), plane]; the 3x3 conv the bottleneck alone
+        store, blk = self.build(m=1, k=3, subnet=SubnetConfig(bottleneck_width=5),
+                                dtype="float64", seed=5)
+        unit = blk.units[0]
+        assert unit.w1.value.shape == (5, blk.channels + 1, 1, 1)
+        assert unit.w.value.shape == (3, 5, 3, 3)
+        y = rand_state(np.random.default_rng(17), blk.channels, dtype="float64")
+        base, _ = blk.forward(y, 0.0, mode="eval")
+        moved, _ = blk.forward(y, 0.5, mode="eval")
+        assert not np.allclose(moved.data, base.data)
+
     def test_units_grow_densely(self):
         # unit j reads the state plus units 0..j-1; unit 0 never sees unit 1
         m, k = 2, 3

@@ -475,6 +475,16 @@ class TestStructuralOps:
         with pytest.raises(ShapeError, match=r"\(2, 2\) vs \(2, 2\) vs \(2, 3\)"):
             ops.add(a, a, Tensor(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("dtypes", [("float32", "float32", "float64"),
+                                        ("float64", "float32", "float32")])
+    def test_add_takes_its_dtype_from_every_term(self, dtypes):
+        # a float64 term anywhere makes a float64 sum, as in concat_channels
+        xs = [Tensor(np.full((2, 1, 2, 2), v), dtype=d) for v, d in zip((1.0, 1.0, 1e-9), dtypes)]
+        out = ops.add(*xs)
+        assert out.data.dtype == ops.concat_channels(xs).data.dtype == np.float64
+        assert out.data.tobytes() == ((xs[0].data + xs[1].data) + xs[2].data).tobytes()
+        assert np.all(out.data > 2.0)   # the 1e-9 term is kept
+
     def test_sigmoid_symmetry_point(self):
         assert ops.sigmoid(Tensor(np.zeros(3), dtype="float64")).data[0] == 0.5
 
@@ -650,6 +660,61 @@ class TestScalarAndChannelOps:
         with pytest.raises(ShapeError):
             ops.fully_connected(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))),
                                 Tensor(np.zeros(2)))
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+# one case per input guard of an op, each matched on its own message
+GUARDS = {
+    "conv2d-not-4d": (lambda: ops.conv2d(_zeros(3, 4, 4), _zeros(2, 3, 3, 3)),
+                      ShapeError, "expects NCHW x and OIKK w"),
+    "conv2d-non-square-kernel": (lambda: ops.conv2d(_zeros(1, 3, 4, 4), _zeros(2, 3, 3, 1)),
+                                 ShapeError, "expects square kernels"),
+    "conv2d-stride-0": (lambda: ops.conv2d(_zeros(1, 3, 4, 4), _zeros(2, 3, 3, 3), stride=0),
+                        ValueError, "stride must be >= 1 and pad >= 0"),
+    "conv2d-negative-pad": (lambda: ops.conv2d(_zeros(1, 3, 4, 4), _zeros(2, 3, 3, 3), pad=-1),
+                            ValueError, "stride must be >= 1 and pad >= 0"),
+    "conv2d-kernel-larger-than-input": (lambda: ops.conv2d(_zeros(1, 3, 2, 2),
+                                                           _zeros(2, 3, 3, 3)),
+                                        ShapeError, "larger than padded input"),
+    "concat-empty": (lambda: ops.concat_channels([]), ShapeError, "empty input list"),
+    "concat-batch-mismatch": (lambda: ops.concat_channels([_zeros(1, 2, 3, 3), _zeros(2, 2, 3, 3)]),
+                              ShapeError, "concat_channels shape mismatch"),
+    "concat-spatial-mismatch": (lambda: ops.concat_channels([_zeros(1, 2, 3, 3),
+                                                             _zeros(1, 2, 3, 4)]),
+                                ShapeError, "concat_channels shape mismatch"),
+    "split-non-positive-size": (lambda: ops.split_channels(_zeros(1, 3, 2, 2), [4, -1]),
+                                ShapeError, "sizes must be positive"),
+    "avgpool-window-larger-than-input": (lambda: ops.avgpool2d(_zeros(1, 1, 2, 2), 3, 1),
+                                         ShapeError, "window 3 larger than input"),
+    "fully-connected-bias-shape": (lambda: ops.fully_connected(_zeros(2, 3), _zeros(3, 4),
+                                                               _zeros(3)),
+                                   ShapeError, r"bias \(3,\) must be \(4,\)"),
+    "mul-scalar-non-scalar": (lambda: ops.mul_scalar(_zeros(2, 2), _zeros(2)),
+                              ShapeError, "mul_scalar expects a scalar tensor"),
+    "broadcast-plane-non-scalar": (lambda: ops.broadcast_plane(_zeros(2), 1, 1, 2, 2),
+                                   ShapeError, "broadcast_plane expects a scalar tensor"),
+    "mul-channelwise-s-shape": (lambda: ops.mul_channelwise(_zeros(2, 3, 2, 2), _zeros(3, 2)),
+                                ShapeError, r"needs s of shape \(2, 3\)"),
+    "batchnorm-mode": (lambda: ops.batchnorm2d(_zeros(1, 2, 2, 2), _zeros(2), _zeros(2),
+                                               np.zeros(2), np.ones(2), "test"),
+                       ValueError, "batchnorm2d: mode must be 'train' or 'eval'"),
+    "dropout-mode": (lambda: ops.dropout(_zeros(2, 2), 0.5, "test", make_rng(0, "d")),
+                     ValueError, "dropout: mode must be 'train' or 'eval'"),
+    "softmax-logits-not-2d": (lambda: ops.softmax_cross_entropy(_zeros(2, 3, 1), [0, 1]),
+                              ShapeError, r"expects \(N, K\) logits"),
+    "softmax-label-count": (lambda: ops.softmax_cross_entropy(_zeros(2, 3), [0]),
+                            ShapeError, "2 rows need 2 labels"),
+}
+
+
+@pytest.mark.parametrize("case", GUARDS)
+def test_op_guard_rejects_bad_input_with_its_message(case):
+    call, error, message = GUARDS[case]
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_forward_is_deterministic_with_same_rng_key():

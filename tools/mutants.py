@@ -111,6 +111,11 @@ MUTANTS = [
            ("tests/test_ops.py::TestBatchNorm::test_train_mode_gradients",
             "tests/test_ops.py::TestBatchNorm::"
             "test_float32_gradients_match_a_float64_oracle_far_from_zero_mean")),
+    # the summation op
+    Mutant("add-dtype-from-first-two-terms", OPS,
+           "dtype=np.result_type(*(t.data for t in terms)))",
+           "dtype=np.result_type(ad, bd))",
+           ("tests/test_ops.py::TestStructuralOps::test_add_takes_its_dtype_from_every_term",)),
     # softmax and the reported metrics
     Mutant("softmax-adds-row-max", OPS,
            "z = logits.data - logits.data.max(axis=1, keepdims=True)",
@@ -194,6 +199,16 @@ MUTANTS = [
            "h = ops.concat_channels([h, time])",
            "h = ops.concat_channels([h, ops.scale(time, 0.0)])",
            ("tests/test_blocks.py::TestTimeChannelStepBlock::test_time_plane_joins_after_bn_relu",)),
+    Mutant("linear-layer-gets-relu", "src/rknet/blocks.py",
+           "h = x if bn is None else ops.relu(bn(x, mode))",
+           "h = ops.relu(x) if bn is None else ops.relu(bn(x, mode))",
+           ("tests/test_acceptance.py::test_criterion_02_erk_block_is_rk4",
+            "tests/test_acceptance.py::test_criterion_03_irk_block_is_gauss2")),
+    Mutant("time-plane-reaches-every-layer", "src/rknet/blocks.py",
+           "x, time = _preact_conv(bn, w, x, time, mode, dropout_p, rng), None",
+           "x = _preact_conv(bn, w, x, time, mode, dropout_p, rng)",
+           ("tests/test_blocks.py::TestTimeChannelStepBlock::"
+            "test_time_plane_reaches_only_a_bottleneck_units_1x1_half",)),
 ]
 
 
