@@ -5,16 +5,19 @@ A step block maps the state y_n to y_{n+1} = y_n + sum of per-stage increment
 groups, produced by convolutional subnetworks wired as the stage structure of
 the Runge-Kutta family dictates; that summation layer is one ``ops.add``.  All
 three kinds share one dense-growth rule: growth unit t reads
-concat(y_n, outputs of units 0..t-1) and emits k channels.  Two helpers own
-it.  ``_growth_units`` builds a run of units whose input widens by k, and
-``_dense_growth`` runs groups of them, each group under its own scope, and
-owns the feature list.  erk's groups are its stages, irk's are its Stage-I
-initializers, time-channel's are its units (which also see the time plane).
-irk Stage-II is the one read that is not a prefix of that list.  Every
-BN -> ReLU -> conv -> dropout sequence, in growth units, both bottleneck
-halves and transitions, is one pre-activation unit (``_preact_conv``; He et
-al., arXiv:1603.05027), the increment a residual step reads as forward
-Euler; a growth unit is a list of such layers run in one loop.  With
+concat(y_n, outputs of units 0..t-1) and emits k channels.  A unit's input
+is a list of tensors, never a concat: the feature list itself.  Two helpers
+own the rule.  ``_growth_units`` builds a run of units whose input widens by
+k, and ``_dense_growth`` runs groups of them, each group under its own
+scope, and owns the feature list.  erk's groups are its stages, irk's are
+its Stage-I initializers, time-channel's are its units (which also see the
+time plane).  irk Stage-II is the one read that is not a prefix of that
+list; it hands each updater a list of its own.  Every BN -> ReLU -> conv ->
+dropout sequence, in growth units, both bottleneck halves and transitions,
+is one pre-activation unit (``_preact_conv``; He et al., arXiv:1603.05027),
+the increment a residual step reads as forward Euler, and one
+``ops.conv2d`` call plus dropout; a growth unit is a list of such layers
+run in one loop.  With
 ``linear_test_mode`` every growth unit is one layer without a BatchNorm, a
 single bias-free 1x1 convolution, so the whole step becomes an affine map
 that can be compared against a classical integrator.
@@ -85,21 +88,26 @@ class BatchNorm:
         self.running_mean = store.add_buffer(f"{prefix}.running_mean", np.zeros(channels, dtype))
         self.running_var = store.add_buffer(f"{prefix}.running_var", np.ones(channels, dtype))
 
+    def norm(self, mode):
+        """The arguments of batchnorm2d after its input, as conv2d's ``norm`` takes them."""
+        return self.gamma.value, self.beta.value, self.running_mean, self.running_var, mode
+
     def __call__(self, x, mode):
-        return ops.batchnorm2d(x, self.gamma.value, self.beta.value, self.running_mean,
-                               self.running_var, mode)
+        return ops.batchnorm2d(x, *self.norm(mode))
 
 
-def _preact_conv(bn, w, x, time, mode, dropout_p, rng):
+def _preact_conv(bn, w, xs, time, mode, dropout_p, rng):
     """One pre-activation unit: BN -> ReLU -> (time plane appended) -> stride-1 conv -> dropout.
 
+    The unit reads the channel concatenation of the tensors in ``xs``, which
+    is never built: the first three steps are one ``ops.conv2d`` call, which
+    normalizes every channel of ``xs`` and passes the time plane, last, raw.
     Without a BatchNorm (``bn is None``, linear test mode) the input goes
     straight to the conv, so the unit is linear in it.
     """
-    h = x if bn is None else ops.relu(bn(x, mode))
-    if time is not None:
-        h = ops.concat_channels([h, time])
-    h = ops.conv2d(h, w.value, stride=1, pad=w.value.shape[-1] // 2)
+    inputs = xs if time is None else [*xs, time]
+    h = ops.conv2d(inputs[0], w.value, stride=1, pad=w.value.shape[-1] // 2, rest=inputs[1:],
+                   norm=None if bn is None else bn.norm(mode))
     return ops.dropout(h, dropout_p, mode, rng)
 
 
@@ -110,9 +118,10 @@ class GrowthUnit:
     by ``_preact_conv``: a plain unit is BN -> ReLU -> 3x3 conv; with a
     bottleneck, a 1x1 conv to ``subnet.bottleneck_width`` channels comes
     first (two pre-activation units); in linear test mode the unit is one
-    bias-free 1x1 conv with no BatchNorm.  A raw time plane, when given,
-    joins the first layer's conv input after BN/ReLU, so normalization never
-    touches it.  Dropout follows each convolution.
+    bias-free 1x1 conv with no BatchNorm.  The first layer reads the unit's
+    input, a list of feature tensors; a raw time plane, when given, joins
+    its conv input after BN/ReLU, so normalization never touches it.
+    Dropout follows each convolution.
     """
 
     def __init__(self, store, prefix, in_ch, k, subnet=None, time_plane=False, rng=None):
@@ -134,11 +143,12 @@ class GrowthUnit:
             self.w = store.add_param(f"{prefix}.conv.w", he_normal(rng, (k, conv_in, 3, 3)))
             self.layers = [(self.bn, self.w)]
 
-    def forward(self, x, time=None, mode="train", dropout_p=0.0, rng=None):
-        # only the first layer reads the time plane
+    def forward(self, xs, time=None, mode="train", dropout_p=0.0, rng=None):
+        """The unit's output for the channel concatenation of the tensors in xs."""
+        # only the first layer reads the feature list and the time plane
         for bn, w in self.layers:
-            x, time = _preact_conv(bn, w, x, time, mode, dropout_p, rng), None
-        return x
+            xs, time = [_preact_conv(bn, w, xs, time, mode, dropout_p, rng)], None
+        return xs[0]
 
 
 def _concat(xs):
@@ -155,7 +165,8 @@ def _growth_units(store, names, in_ch, k, subnet, rng, time_plane=False):
 
 
 def _dense_growth(y, groups, label, time=None, mode="train", dropout_p=0.0, rng=None):
-    """The dense-growth rule: each unit reads concat(y, every earlier output).
+    """The dense-growth rule: each unit reads concat(y, every earlier output),
+    handed to it as the feature list itself.
 
     Group i of units runs under ``op_scope(f"{label}{i}")``; returns the
     concat of each group's outputs, in order.
@@ -166,8 +177,7 @@ def _dense_growth(y, groups, label, time=None, mode="train", dropout_p=0.0, rng=
         with op_scope(f"{label}{i}"):
             start = len(feats)
             for u in units:
-                feats.append(u.forward(_concat(feats), time=time, mode=mode,
-                                       dropout_p=dropout_p, rng=rng))
+                feats.append(u.forward(feats, time=time, mode=mode, dropout_p=dropout_p, rng=rng))
             outs.append(_concat(feats[start:]))
     return outs
 
@@ -216,9 +226,9 @@ class IrkStepBlock:
         updated = []
         for i, unit in enumerate(self.updaters):
             with op_scope(f"update{i}"):
-                # not a channel prefix of one list, so Stage-II keeps its own concat
-                x = _concat(updated[:i] + initials[i + 1:])
-                updated.append(unit.forward(x, mode=mode, dropout_p=dropout_p, rng=rng))
+                # not a prefix of the feature list: a list of its own, in this order
+                updated.append(unit.forward(updated[:i] + initials[i + 1:], mode=mode,
+                                            dropout_p=dropout_p, rng=rng))
         return ops.add(y, *updated), initials, updated
 
 
@@ -289,7 +299,7 @@ class TransitionLayer:
     def forward(self, y, mode="train", dropout_p=0.0, rng=None):
         if y.shape[2] % 2 or y.shape[3] % 2:
             raise ShapeError(f"transition needs even spatial dims to halve, got {y.shape}")
-        h = _preact_conv(self.bn, self.w, y, None, mode, dropout_p, rng)
+        h = _preact_conv(self.bn, self.w, [y], None, mode, dropout_p, rng)
         if self.gate is not None:
             h = self.gate.forward(h)
         return ops.avgpool2d(h, 2, 2)

@@ -3,28 +3,36 @@
 Convolution stacks every kernel tap into one GEMM per cache-sized block of a
 padded channel-major copy of the input and shift-adds the partial products
 (see ``conv2d``); the naive sliding-window version lives in the test suite as
-an independent oracle.  The BN -> ReLU -> conv chain of the pre-activation
-unit (``blocks._preact_conv``) is written to touch each activation as few
-times as numpy allows: batchnorm is one per-channel affine map of its input,
-allocates only its output and builds its backward from its input and
-per-channel sums, with no normalized copy; relu keeps no mask;
-conv2d keeps no padded copy and rebuilds it in its backward from the input.
-Dropout keeps a boolean mask, not the scaled factors.  Each op computes in
-its input's dtype.  conv2d, batchnorm2d, relu, concat_channels and add run
-their passes in chunks on the calling thread plus a worker pool
-(``parallel.run``); a chunk never splits a sum, so results do not depend on
-the number of threads.
+an independent oracle.  conv2d is also the whole BN -> ReLU -> (time plane)
+-> conv chain of the pre-activation unit (``blocks._preact_conv``): it reads
+the unit's feature tensors as they are, with no concat, normalizes them as
+batchnorm2d does and writes relu of that straight into its padded buffer, so
+a growth unit makes no concat, batchnorm or relu output.  Its backward
+closure keeps the feature arrays themselves, the taps and per-channel
+numbers, and rebuilds the padded buffer from them.  batchnorm2d, left for
+the classifier head, and the fused conv share one statistics pass and one
+per-channel backward (``_statistics``, ``_gradient_sums``,
+``_coefficients``, ``_input_gradient``), with no normalized copy of the
+input; relu keeps no mask.  Dropout keeps a boolean mask, not the scaled
+factors.  Each op computes in its input's dtype.  conv2d, batchnorm2d, relu,
+concat_channels and add run their passes in chunks on the calling thread
+plus a worker pool (``parallel.run``); a chunk never splits a sum, so
+results do not depend on the number of threads.
 
 Backward closures capture the arrays and shapes they read, never a tensor.
 Tape nodes keep only serial numbers and a weak reference to the output, so
 the closures are the only owners the tape adds: an output that no closure
-reads, such as batchnorm's (relu reads its own output) or conv2d's (concat
-copies it), is freed as soon as the forward drops it.  The closures of
-conv2d, batchnorm2d and fully_connected read the op's input itself (relu's
-reads its output), so an array an op has read or written must not change
-between its forward and its backward.  Every op records itself on the
-active tape (if any) and is pure given its inputs and rng.
+reads, such as batchnorm's (relu reads its own output) or a conv's that
+dropout has scaled, is freed as soon as the forward drops it.  A growth
+unit's output lives until backward, held by the conv closure of every later
+unit that reads it.  The closures of conv2d, batchnorm2d and fully_connected
+read the op's inputs themselves (relu's reads its output), so an array an op
+has read or written must not change between its forward and its backward.
+Every op records itself on the active tape (if any) and is pure given its
+inputs and rng.
 """
+
+import math
 
 import numpy as np
 
@@ -41,6 +49,11 @@ def _emit(inputs, out_data, backward_fn, what):
     return out
 
 
+def _check_mode(op, mode):
+    if mode not in ("train", "eval"):
+        raise ValueError(f"{op}: mode must be 'train' or 'eval', got {mode!r}")
+
+
 # ---------------------------------------------------------------------------
 # Convolution
 
@@ -51,8 +64,20 @@ def _emit(inputs, out_data, backward_fn, what):
 CONV_BLOCK = 4096
 
 
-def conv2d(x, w, stride=1, pad=0):
-    """Cross-correlate NCHW input with OIKK kernels (no bias).
+def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
+    """Cross-correlate NCHW input with OIKK kernels (no bias), optionally
+    behind batchnorm and relu.
+
+    The input is the channel concatenation of x and the tensors in ``rest``,
+    which is never built: each tensor is written straight into the padded
+    buffer below.  ``norm = (gamma, beta, running_mean, running_var, mode)``
+    makes the op a whole pre-activation unit: the first ``gamma.size``
+    channels go in as ``relu((x - mu) * a + beta)``, with mu, a and the
+    running-buffer update computed as ``batchnorm2d`` computes them, and the
+    channels after them go in raw (a time plane).  So no concat, batchnorm
+    or relu output exists (the shared storage of Pleiss et al.,
+    arXiv:1707.06990, and the rebuilt activations of Rota Bulo et al.,
+    arXiv:1712.02616).
 
     The padded input is laid out channel-major as ``xf`` of shape
     (C, N*Hp*Wp + tail), the tail being zeros.  Kernel tap (i, j) then reads
@@ -68,35 +93,58 @@ def conv2d(x, w, stride=1, pad=0):
     tail), then its k*k row groups are shifted by their offsets and added in
     tap order.  This is the kn2row scheme of Anderson et al.,
     arXiv:1709.03395, per cache-sized block.  ``xf`` is freed when the
-    forward returns; the backward closure keeps x and rebuilds ``xf`` from
-    it, so x must not change between the two passes (rebuilding a cheap copy
-    instead of keeping it, as in Pleiss et al., arXiv:1707.06990).  The
-    backward walks the same blocks: it fills a fixed (k*k, O, block) scratch
-    with the wide output gradient shifted back by each tap's offset and gets
-    one block of gw and of the gradient of ``xf`` from one GEMM each.  Each
-    block reads only its own columns of ``xf``, so it writes its gradient
-    over them, and the rebuilt copy is the only xf-sized array the backward
-    allocates.  The tape keeps neither ``xf`` nor a copy of every window.
+    forward returns.  The backward closure keeps the input arrays themselves
+    (for a growth unit, the step's feature arrays, which later units and the
+    summation layer read too), the taps and per-channel numbers, and
+    rebuilds ``xf`` from them, prologue included, so no input may change
+    between the two passes.  The backward walks the same blocks: it fills a
+    fixed (k*k, O, block) scratch with the wide output gradient shifted back
+    by each tap's offset and gets one block of gw and of the gradient of
+    ``xf`` from one GEMM each.  Each block reads only its own columns of
+    ``xf``, so it writes its gradient over them, times relu's mask in the
+    normalized rows (``xf > 0``, read before the overwrite), and the rebuilt
+    copy is the only xf-sized array the backward allocates.  The gradient is
+    then cropped into one array per input, and batchnorm's backward runs on
+    the normalized channels in place.  The prologue runs per group of images
+    in a contiguous scratch, which is then copied into ``xf``.
 
     Blocks, and groups of images for the pad, the crop and the gradient
     scatter, are chunks of ``parallel.run``.  Each participant has its own
     scratch, and each block keeps its own gw partial, summed in block order
     afterwards, so the result does not depend on which thread ran a block.
+    The backward returns one gradient per input, then w's, then gamma's and
+    beta's if ``norm`` is given.
     """
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d expects NCHW x and OIKK w, got {x.shape} and {w.shape}")
-    if w.shape[1] != x.shape[1]:
+    inputs = (x, *rest)
+    shapes = " + ".join(str(t.shape) for t in inputs)
+    if any(t.ndim != 4 for t in inputs) or w.ndim != 4:
+        raise ShapeError(f"conv2d expects NCHW x and OIKK w, got {shapes} and {w.shape}")
+    n, _, h, wd = x.shape
+    if any(t.shape[0] != n or t.shape[2:] != x.shape[2:] for t in rest):
+        raise ShapeError(f"conv2d: every input needs x's batch and spatial size, got {shapes}")
+    bounds = [0]   # each input's first channel in the concatenation, then the total
+    for t in inputs:
+        bounds.append(bounds[-1] + t.shape[1])
+    c = bounds[-1]
+    if w.shape[1] != c:
         raise ShapeError(
-            f"conv2d channel mismatch: input {x.shape} has {x.shape[1]} channels, "
+            f"conv2d channel mismatch: input {(n, c, h, wd)} has {c} channels, "
             f"kernel {w.shape} expects {w.shape[1]}")
     if w.shape[2] != w.shape[3]:
         raise ShapeError(f"conv2d expects square kernels, got {w.shape}")
     if stride < 1 or pad < 0:
         raise ValueError(f"conv2d: stride must be >= 1 and pad >= 0, got {stride}, {pad}")
-    n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     if h + 2 * pad < kh or wd + 2 * pad < kw:
-        raise ShapeError(f"conv2d: kernel {w.shape} larger than padded input {x.shape}")
+        raise ShapeError(f"conv2d: kernel {w.shape} larger than padded input {(n, c, h, wd)}")
+    cn = 0
+    if norm is not None:
+        gamma, beta, running_mean, running_var, mode = norm
+        _check_mode("conv2d", mode)
+        cn = gamma.size
+        if beta.size != cn or cn > c:
+            raise ShapeError(f"conv2d: a norm of {cn} gamma and {beta.size} beta channels "
+                             f"does not fit the input's {c} channels")
 
     hp, wp = h + 2 * pad, wd + 2 * pad
     oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
@@ -104,22 +152,54 @@ def conv2d(x, w, stride=1, pad=0):
     kk = kh * kw
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
     tail = offsets[-1]
-    xd = x.data
-    dtype = xd.dtype
+    arrays = [t.data for t in inputs]
+    dtype = np.result_type(*arrays)
     images = parallel.spans(n, c * hp * wp * dtype.itemsize)
     block = max(1, min(CONV_BLOCK, m))
     blocks = [slice(a, min(a + block, m)) for a in range(0, m, block)]
     # the rows and columns of the valid window corners in the (Hp, Wp) wide layout
     rows, cols = slice(0, (oh - 1) * stride + 1, stride), slice(0, (ow - 1) * stride + 1, stride)
+    # how many of each input's channels are normalized: together, the first cn
+    normed = [min(max(cn - lo, 0), hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    # batchnorm's per-channel mu, inv = 1 / sqrt(var + BN_EPS), a = gamma * inv and beta
+    mu = inv = scale = shift = train = None
+    if norm is not None:
+        train = mode == "train"
+        mu, var = _statistics([(arr[:, :k], lo) for arr, lo, k in zip(arrays, bounds, normed) if k],
+                              cn, dtype, running_mean, running_var, mode)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        scale, shift = gamma.data * inv, beta.data
+
+    # per participant, one group of images of the widest normalized input
+    most = max(normed) * max((s.stop - s.start for s in images), default=0) * h * wd
+
+    def chunks():
+        scratch = np.empty((parallel.width(images), most), dtype=dtype)
+        return lambda slot, shape: scratch[slot, :math.prod(shape)].reshape(shape)
+
+    def prologue(src, lo, out):
+        # relu((x - mu) * a + beta) of NCHW src, channels lo.. of the input, into out
+        ch = slice(lo, lo + src.shape[1])
+        v = np.subtract(src, mu[ch].reshape(-1, 1, 1), out=out)
+        v *= scale[ch].reshape(-1, 1, 1)
+        v += shift[ch].reshape(-1, 1, 1)
+        check_finite(v, "batchnorm2d")   # a non-finite value is batchnorm's, and named so
+        return np.maximum(v, 0, out=v)
 
     def padded():
-        # xd channel-major and zero-padded, with a zero tail: (C, N*Hp*Wp + tail)
+        # the input channel-major and zero-padded, with a zero tail: (C, N*Hp*Wp + tail)
         xf = np.zeros((c, m + tail), dtype=dtype)
         xf_images = xf[:, :m].reshape(c, n, hp, wp)
-        x_cn = xd.transpose(1, 0, 2, 3)
+        chunk = chunks()
 
         def pad_images(s, slot):
-            xf_images[:, s, pad:pad + h, pad:pad + wd] = x_cn[:, s]
+            for arr, lo, hi, k in zip(arrays, bounds, bounds[1:], normed):
+                src = arr[s]
+                dst = xf_images[lo:hi, s, pad:pad + h, pad:pad + wd]
+                if k:   # computed in a contiguous chunk, then copied in
+                    normal = src[:, :k]
+                    dst[:k] = prologue(normal, lo, chunk(slot, normal.shape)).transpose(1, 0, 2, 3)
+                dst[k:] = src[:, k:].transpose(1, 0, 2, 3)
 
         parallel.run(pad_images, images)
         return xf
@@ -179,25 +259,47 @@ def conv2d(x, w, stride=1, pad=0):
                 shifted[t] = gpad[:, tail - offsets[t] + a:tail - offsets[t] + b]
             shifted = shifted.reshape(kk * o, b - a)
             np.matmul(shifted, xf[:, a:b].T, out=gw_blocks[a // block])
+            kept = xf[:cn, a:b] > 0   # relu's mask, from its output
             np.matmul(taps_t, shifted, out=xf[:, a:b])
+            # relu's gradient: g where its input is > 0, so -0.0 where g < 0 and it is not
+            xf[:cn, a:b] *= kept
 
         parallel.run(backward_block, blocks)
-        gpad = scratch = None  # freed, so the copy into gx peaks at gx + xf + gw
+        gpad = scratch = None  # freed, so the copy into the gradients peaks at them + xf + gw
         gw = np.zeros((kk * o, c), dtype=dtype)
         for part in gw_blocks:
             gw += part
         gw_blocks = None
         gxf_images = xf[:, :m].reshape(c, n, hp, wp)
-        gx = np.empty((n, c, h, wd), dtype=dtype)
+        gxs = [np.empty(arr.shape, dtype=dtype) for arr in arrays]
 
         def crop_gradient(s, slot):
-            gx[s] = gxf_images[:, s, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
+            for gx, lo, hi in zip(gxs, bounds, bounds[1:]):
+                gx[s] = gxf_images[lo:hi, s, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
 
         parallel.run(crop_gradient, images)
         gw = gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
-        return gx, np.ascontiguousarray(gw)
+        grads = (*gxs, np.ascontiguousarray(gw))
+        if not cn:
+            return grads
+        gsum, gxsum = _gradient_sums([(gx[:, :k], arr[:, :k], lo) for gx, arr, lo, k
+                                      in zip(gxs, arrays, bounds, normed) if k], cn)
+        gdot, r, q = _coefficients(gsum, gxsum, mu, inv, scale, n * h * wd, train, dtype)
+        a3 = scale.reshape(-1, 1, 1)
+        chunk = chunks()
 
-    return _emit((x, w), out, backward_fn, "conv2d")
+        def differentiate(s, slot):
+            for arr, gx, lo, k in zip(arrays, gxs, bounds, normed):
+                if k:   # batchnorm's backward, in place
+                    g = gx[s, :k]
+                    _input_gradient(arr[s, :k], g, slice(lo, lo + k), a3, r, q, g,
+                                    chunk(slot, g.shape))
+
+        parallel.run(differentiate, images)
+        return (*grads, gdot.astype(dtype), gsum.astype(dtype))
+
+    params = () if norm is None else (gamma, beta)
+    return _emit((*inputs, w, *params), out, backward_fn, "conv2d")
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +309,92 @@ BN_MOMENTUM = 0.1  # running += BN_MOMENTUM * (batch statistic - running)
 BN_EPS = 1e-5
 
 
+def _statistics(parts, c, dtype, running_mean, running_var, mode):
+    """Batchnorm's per-channel mean and variance, in dtype, of the channel
+    concatenation of ``parts``: (NCHW array, first channel) pairs that
+    together hold c channels.
+
+    Train mode takes them from the batch, the variance from the values
+    centred per group of channels into a scratch of one group, and moves the
+    caller's per-channel arrays running_mean and running_var toward them in
+    place, by ``BN_MOMENTUM``.  Eval mode returns a copy of running_mean (a
+    later train-mode call updates it in place before this call's backward
+    runs) and running_var.
+    """
+    if mode == "eval":
+        return running_mean.copy(), running_var
+    n, _, h, w = parts[0][0].shape
+    m = n * h * w
+    jobs = [(arr, lo, s) for arr, lo in parts
+            for s in parallel.spans(arr.shape[1], arr[:, :1].nbytes)]
+    widest = max(s.stop - s.start for _, _, s in jobs)
+    # a channel wider than any group, unless c is 1: einsum then sums a
+    # one-channel group image by image, as it sums a channel of a wider input
+    scratch = np.empty((parallel.width(jobs), n, min(c, widest + 1), h, w), dtype=dtype)
+    mu, var = np.empty(c, dtype=dtype), np.empty(c, dtype=dtype)
+
+    def statistics(job, slot):   # the mean, then the variance of the centred values
+        arr, lo, s = job
+        xs, ch = arr[:, s], slice(lo + s.start, lo + s.stop)
+        mu[ch] = np.einsum("nchw->c", xs) / m
+        centred = np.subtract(xs, mu[ch].reshape(-1, 1, 1),
+                              out=scratch[slot, :, :s.stop - s.start])
+        var[ch] = np.einsum("nchw,nchw->c", centred, centred) / m
+
+    parallel.run(statistics, jobs)
+    running_mean += BN_MOMENTUM * (mu - running_mean)
+    running_var += BN_MOMENTUM * (var - running_var)
+    return mu, var
+
+
+def _gradient_sums(parts, c):
+    """The per-channel sums of g and of g*x, in float64, over (g, x, first
+    channel) triples of NCHW arrays that together hold c channels; each group
+    of channels is one chunk.
+
+    They give ``sum g*xhat = inv * (sum g*x - mu * sum g)`` (Ioffe & Szegedy,
+    arXiv:1502.03167), whose difference cancels when |mu| >> sigma.
+    """
+    gsum, gxsum = np.empty(c), np.empty(c)
+    jobs = [(g, x, lo, s) for g, x, lo in parts
+            for s in parallel.spans(x.shape[1], x[:, :1].nbytes)]
+
+    def sums(job, slot):
+        g, x, lo, s = job
+        ch = slice(lo + s.start, lo + s.stop)
+        gsum[ch] = np.einsum("nchw->c", g[:, s], dtype=np.float64)
+        gxsum[ch] = np.einsum("nchw,nchw->c", g[:, s], x[:, s], dtype=np.float64)
+
+    parallel.run(sums, jobs)
+    return gsum, gxsum
+
+
+def _coefficients(gsum, gxsum, mu, inv, a, m, train, dtype):
+    """gdot = sum g*xhat, and the (C, 1, 1) r and q of the train-mode input
+    gradient ``a * (g + r*x) + q`` in dtype (None in eval mode, where the
+    statistics do not depend on x and the gradient is ``a * g``).  m is the
+    count each channel's statistics are taken over."""
+    gdot = inv * (gxsum - mu * gsum)
+    if not train:
+        return gdot, None, None
+    # gx = a * (g - mean g - xhat * mean(g * xhat)) = a * (g + r*x) + q
+    r = -inv * gdot / m
+    q = -a * (gsum / m + r * mu)
+    return gdot, r.astype(dtype).reshape(-1, 1, 1), q.astype(dtype).reshape(-1, 1, 1)
+
+
+def _input_gradient(x, g, ch, a, r, q, out, tmp):
+    """Batchnorm's input gradient of NCHW channels ``ch`` of the (C, 1, 1)
+    arrays a, r and q: ``a * (g + r*x) + q``, or ``a * g`` when r is None,
+    into out.  tmp takes r*x; it may be out, unless out is g."""
+    if r is None:
+        return np.multiply(g, a[ch], out=out)
+    gx = np.add(g, np.multiply(x, r[ch], out=tmp), out=out)
+    gx *= a[ch]
+    gx += q[ch]
+    return gx
+
+
 def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
     """Per-channel normalization over (N, H, W): ``(x - mu) * a + beta`` with
     ``a = gamma / sqrt(var + BN_EPS)``, computed in x's dtype.
@@ -214,89 +402,47 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
     Train mode takes mu and var from the batch, var from the centred values,
     and moves the caller's per-channel arrays running_mean and running_var
     toward them in place, by ``BN_MOMENTUM``.  Eval mode takes them from a
-    copy of those arrays and leaves them.  The output is the only x-sized
-    array the forward allocates: x is centred into it, then scaled and
-    shifted in place (eval mode centres in the same pass, per group of
-    images).  Centring first keeps the rounding of the output small
+    copy of those arrays and leaves them (``_statistics``, which conv2d's
+    prologue shares).  The output is the only x-sized array the forward
+    allocates: x is centred into it, then scaled and shifted in place, per
+    group of images.  Centring first keeps the rounding of the output small
     when |mu| >> sigma, where ``x * a + (beta - mu * a)`` would not.
 
     The backward closure keeps x, the only x-sized array it holds, and
     per-channel numbers, so the output is freed once its reader is done.
-    The channel sums of g and of g*x give ``sum g*xhat = inv * (sum g*x -
-    mu * sum g)`` (Ioffe & Szegedy, arXiv:1502.03167); they are
-    taken in float64, as the difference cancels when |mu| >> sigma.  Then
-    ``gx = a * (g + r*x) + q`` with per-channel r and q in train mode, and
-    ``gx = a * g`` in eval mode, where the statistics do not depend on x; no
-    normalized copy of x is built.  Channel sums, and the centring between
-    train mode's mean and variance, run per group of channels; the other
-    elementwise passes run per group of images.
+    From the float64 channel sums of g and of g*x it gets ``gx = a * (g +
+    r*x) + q`` with per-channel r and q in train mode, and ``gx = a * g`` in
+    eval mode, where the statistics do not depend on x; no normalized copy
+    of x is built.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"batchnorm2d: mode must be 'train' or 'eval', got {mode!r}")
+    _check_mode("batchnorm2d", mode)
     c = x.shape[1]
     if gamma.size != c or beta.size != c:
         raise ShapeError(
             f"batchnorm2d channel mismatch: input has {c} channels, "
             f"gamma has {gamma.size}, beta has {beta.size}")
-    per_channel = (1, c, 1, 1)
     xd = x.data
-    m = x.shape[0] * x.shape[2] * x.shape[3]
-    train = mode == "train"
-    groups = parallel.spans(c, xd.nbytes // max(1, c))
-    images = parallel.spans(len(xd), xd.nbytes // max(1, len(xd)))
-    out = np.empty_like(xd)
-    if train:
-        mu, var = np.empty(c, dtype=xd.dtype), np.empty(c, dtype=xd.dtype)
-
-        def statistics(s, slot):   # the mean, then the variance of x centred into out
-            mu[s] = np.einsum("nchw->c", xd[:, s]) / m
-            centred = np.subtract(xd[:, s], mu[s].reshape(-1, 1, 1), out=out[:, s])
-            var[s] = np.einsum("nchw,nchw->c", centred, centred) / m
-
-        parallel.run(statistics, groups)
-        running_mean += BN_MOMENTUM * (mu - running_mean)
-        running_var += BN_MOMENTUM * (var - running_var)
-    else:
-        # a copy: a later train-mode call updates running_mean in place
-        # before this call's backward runs
-        mu, var = running_mean.copy(), running_var
+    mu, var = _statistics([(xd, 0)], c, xd.dtype, running_mean, running_var, mode)
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    a = (gamma.data * inv).reshape(per_channel)
-    b = beta.data.reshape(per_channel)
-    centre = mu.reshape(per_channel)
+    a = gamma.data * inv
+    a3, b3, centre = a.reshape(-1, 1, 1), beta.data.reshape(-1, 1, 1), mu.reshape(-1, 1, 1)
+    images = _images(xd)
+    out = np.empty_like(xd)
 
-    def normalize(s, slot):   # train mode's out already holds x - mu
-        outs = out[s] if train else np.subtract(xd[s], centre, out=out[s])
-        outs *= a
-        outs += b
+    def normalize(s, slot):
+        outs = np.subtract(xd[s], centre, out=out[s])
+        outs *= a3
+        outs += b3
 
     parallel.run(normalize, images)
 
     def backward_fn(gout):
-        gsum, gxsum = np.empty(c), np.empty(c)
-
-        def sums(s, slot):
-            gsum[s] = np.einsum("nchw->c", gout[:, s], dtype=np.float64)
-            gxsum[s] = np.einsum("nchw,nchw->c", gout[:, s], xd[:, s], dtype=np.float64)
-
-        parallel.run(sums, groups)
-        gdot = inv * (gxsum - mu * gsum)   # sum of gout * xhat
-        # gx = a * (gout - mean gout - xhat * mean(gout * xhat)) = a * (gout + r*x) + q
-        r = -inv * gdot / m
-        q = -a * (gsum / m + r * mu).reshape(per_channel)
-        r, q = r.astype(xd.dtype).reshape(per_channel), q.astype(xd.dtype)
+        gsum, gxsum = _gradient_sums([(gout, xd, 0)], c)
+        gdot, r, q = _coefficients(gsum, gxsum, mu, inv, a, xd.size // c, mode == "train",
+                                   xd.dtype)
         gx = np.empty_like(xd)
-
-        def differentiate(s, slot):
-            if train:   # the batch statistics depend on x too
-                gxs = np.multiply(xd[s], r, out=gx[s])
-                gxs += gout[s]
-                gxs *= a
-                gxs += q
-            else:
-                np.multiply(gout[s], a, out=gx[s])
-
-        parallel.run(differentiate, images)
+        parallel.run(lambda s, slot: _input_gradient(xd[s], gout[s], slice(None), a3, r, q,
+                                                     gx[s], gx[s]), images)
         return gx, gdot.astype(xd.dtype), gsum.astype(xd.dtype)
 
     return _emit((x, gamma, beta), out, backward_fn, "batchnorm2d")
@@ -512,8 +658,7 @@ def dropout(x, p, mode, rng):
     """
     if not 0 <= p < 1:
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"dropout: mode must be 'train' or 'eval', got {mode!r}")
+    _check_mode("dropout", mode)
     if mode == "eval" or p == 0:
         return x
     draw_dtype = np.float32 if x.data.dtype == np.float32 else np.float64

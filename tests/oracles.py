@@ -5,7 +5,8 @@ a triple-loop sliding window, batchnorm a two-pass statistic, gradients come
 from central finite differences (with a check for a ReLU kink within the
 step), the integrator-equivalence weights are derived by direct linear algebra
 on the stage equations, and a step's parameter count is summed growth unit by
-growth unit.
+growth unit.  The one exception is ``unfused_preact_conv``: the op chain that
+conv2d's ``norm`` fuses, kept as the reference the fused op must equal.
 """
 
 import json
@@ -163,33 +164,67 @@ def two_pass_batchnorm_grads(x, gamma, gout, eps=1e-5):
     return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
 
+def unfused_preact_conv(xs, time, w, gamma, beta, stats, mode, pad):
+    """The chain that ``conv2d`` with a ``norm`` fuses, op by op: concat the
+    tensors xs -> batchnorm2d -> relu -> concat the raw time plane, if any ->
+    stride-1 conv2d."""
+    h = xs[0] if len(xs) == 1 else ops.concat_channels(xs)
+    h = ops.relu(ops.batchnorm2d(h, gamma, beta, *stats, mode))
+    if time is not None:
+        h = ops.concat_channels([h, time])
+    return ops.conv2d(h, w, pad=pad)
+
+
 def naive_softmax_cross_entropy(logits, labels):
     """Direct formula without max-stabilization (valid at small magnitudes)."""
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     return float(np.mean([-np.log(probs[i, lab]) for i, lab in enumerate(labels)]))
 
 
+def batchnorm_output(xs, norm):
+    """What a conv2d ``norm`` feeds its relu: the normalized first channels of
+    the channel concatenation of the arrays xs, in float64 from the two-pass
+    batch statistics (train mode) or the running ones (eval mode)."""
+    gamma, beta, running_mean, running_var, mode = norm
+    x = np.concatenate([np.asarray(v, dtype=np.float64) for v in xs], axis=1)[:, :gamma.size]
+    if mode == "train":
+        mu = x.mean(axis=(0, 2, 3))
+        var = ((x - mu.reshape(-1, 1, 1)) ** 2).mean(axis=(0, 2, 3))
+    else:
+        mu, var = running_mean, running_var
+    a = np.asarray(gamma.data, dtype=np.float64) / np.sqrt(var + 1e-5)
+    return (x - mu.reshape(-1, 1, 1)) * a.reshape(-1, 1, 1) + beta.data.reshape(-1, 1, 1)
+
+
 def nearest_relu_input(loss_fn, param, index, h):
     """The smallest |ReLU input| over the two evaluations of ``fd_gradcheck``'s
-    central difference at flat ``index`` of ``param`` (its value + h and - h).
+    central difference at flat ``index`` of ``param`` (its value + h and - h):
+    the inputs of ``ops.relu`` and the batchnorm outputs inside a conv2d with
+    a ``norm``, which relu reads there.
 
     Within h of 0, the difference may straddle the ReLU's kink, so a large
     relative error there need not be a gradient error."""
     flat = param.value.data.reshape(-1)
-    orig, relu, seen = flat[index], ops.relu, [np.inf]
+    orig, relu, conv2d, seen = flat[index], ops.relu, ops.conv2d, [np.inf]
 
     def watched(x):
         seen.append(float(np.min(np.abs(x.data), initial=np.inf)))
         return relu(x)
 
-    ops.relu = watched
+    def watched_conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
+        if norm is not None:   # before the call, which moves the running buffers
+            pre = batchnorm_output([t.data for t in (x, *rest)], norm)
+            seen.append(float(np.min(np.abs(pre), initial=np.inf)))
+        return conv2d(x, w, stride, pad, rest, norm)
+
+    ops.relu, ops.conv2d = watched, watched_conv2d
     try:
         for value in (orig + h, orig - h):
             flat[index] = value
             loss_fn()
     finally:
         flat[index] = orig
-        ops.relu = relu
+        ops.relu, ops.conv2d = relu, conv2d
     return min(seen)
 
 

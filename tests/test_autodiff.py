@@ -9,6 +9,8 @@ import pytest
 
 from rknet import model_spec as ms
 from rknet import network, ops
+from rknet.blocks import ErkStepBlock, ParamStore
+from rknet.rng import make_rng
 from rknet.tensor import Parameter, ShapeError, Tape, TapeError, Tensor, backward
 
 from oracles import fd_gradcheck, mean_all
@@ -127,6 +129,8 @@ def test_backward_closures_hold_arrays_not_tensors():
     with Tape() as tape:   # the ops the model does not run
         parts = ops.split_channels(Tensor(np.ones((2, 3, 4, 4))), [1, 2])
         ops.scale(ops.sum_all(ops.concat_channels(parts)), 0.5)
+        ops.batchnorm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), np.zeros(3), np.ones(3),
+                        "train")
     nodes += tape._nodes
 
     names = [node.backward_fn.__qualname__.split(".")[0] for node in nodes]
@@ -155,6 +159,44 @@ def test_backward_closures_hold_arrays_not_tensors():
     arrays = [v for v in captured(tape._nodes[-1].backward_fn) if isinstance(v, np.ndarray)]
     # a boolean mask, not the scaled factors
     assert [v.dtype for v in arrays if v.size == out.size] == [np.dtype(bool)]
+
+
+def test_a_growth_units_conv_closure_holds_the_feature_arrays_themselves():
+    # stage 2 reads [y, o_0, o_1] as they are: no concat, batchnorm or relu output
+    blk = ErkStepBlock(ParamStore("float32"), "b", 3, 1, 4, rng=make_rng(0, "closure"))
+    y = Tensor(np.random.default_rng(5).normal(size=(2, 4, 6, 6)), dtype="float32")
+    with Tape() as tape:
+        _, groups = blk.forward(y, mode="train")
+    feats = [y, *groups[:2]]
+    node = next(n for n in tape._nodes if n.inputs[:3] == tuple(t.serial for t in feats))
+    assert node.backward_fn.__qualname__.startswith("conv2d.")
+    arrays = [v for v in captured(node.backward_fn) if isinstance(v, np.ndarray)]
+    for t in feats:
+        assert any(v is t.data for v in arrays)
+    others = [v for v in arrays if not any(v is t.data for t in feats)]
+    w = blk.stages[2][0].w.value
+    # the taps, and per-channel numbers of the 12 normalized channels
+    assert others and all(v.size in (w.size, 12) for v in others), [v.shape for v in others]
+
+
+def test_an_erk_steps_forward_keeps_about_its_feature_arrays():
+    # what stays after the forward is y_{n+1} and the stage outputs, which
+    # later units read, plus small change: the concats the units read and the
+    # relu outputs conv2d read, 2.8 times those bytes here, no longer exist
+    blk = ErkStepBlock(ParamStore("float32"), "b", 3, 1, 8, rng=make_rng(0, "features"))
+    y = Tensor(np.random.default_rng(6).normal(size=(16, 8, 16, 16)), dtype="float32")
+    blk.forward(y, mode="train")   # starts the chunk pool outside the measurement
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            y_next, groups = blk.forward(y, mode="train")
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    features = y_next.data.nbytes + sum(g.data.nbytes for g in groups)   # 512 KiB
+    slack = 64 << 10   # tape nodes, closures, taps and per-channel numbers
+    assert retained <= features + slack, (retained, features)
+    assert len(tape) == 4   # one conv per stage and the summation layer
 
 
 def test_an_intermediate_no_closure_reads_is_freed_during_the_forward():
@@ -208,10 +250,12 @@ def test_gradients_stay_correct_when_a_freed_tensors_id_is_reused():
         doubled = ops.scale(p.value, 2.0)
         tripled = ops.scale(doubled, 3.0)   # its closure keeps only the constant
         freed = id(doubled)
+        # made before the free, so that the loop allocates nothing but tensors
+        # (a keyword-argument dict or an array could take the freed block)
+        fresh, arrays = [None] * 100, [np.ones(3) for _ in range(100)]
         del doubled
-        fresh = [None] * 100
         for i in range(len(fresh)):
-            fresh[i] = Tensor(np.ones(3), dtype="float64")
+            fresh[i] = Tensor(arrays[i])
             if id(fresh[i]) == freed:
                 break
         leaf = fresh[i]

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from rknet import ops, rk
-from rknet.blocks import (AttentionalGate, ErkStepBlock, IrkStepBlock, ParamStore,
+from rknet.blocks import (AttentionalGate, ErkStepBlock, GrowthUnit, IrkStepBlock, ParamStore,
                           SubnetConfig, TimeChannelStepBlock, TransitionLayer)
 from rknet.rng import make_rng
 from rknet.tensor import ShapeError, Tape, Tensor, backward
 
-from oracles import fd_gradcheck, wire_erk_linear, wire_irk_gauss_scalar
+from oracles import fd_gradcheck, unfused_preact_conv, wire_erk_linear, wire_irk_gauss_scalar
 
 LINEAR = SubnetConfig(linear_test_mode=True)
 
@@ -114,6 +114,31 @@ def test_summation_layer_is_one_add_node_in_stage_order(kind):
     for g in groups:
         chain = chain + g.data
     assert np.array_equal(y_next.data, chain)   # ((y + g_0) + g_1) + g_2, bit for bit
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("bottleneck", [0, 4])
+def test_a_growth_unit_is_the_unfused_chain_over_its_feature_list(mode, bottleneck):
+    # the unit's first conv2d reads [y, o_0] and the time plane as they are;
+    # the chain it stands for concatenates them, normalizes, applies relu and
+    # appends the raw plane: the same values bit for bit, and the same buffers
+    store = ParamStore("float64")
+    unit = GrowthUnit(store, "u", 5, 3, SubnetConfig(bottleneck_width=bottleneck),
+                      time_plane=True, rng=make_rng(0, "u"))
+    rng = np.random.default_rng(31)
+    feats = [Tensor(rng.normal(size=(2, c, 6, 6)) + 1, dtype="float64") for c in (2, 3)]
+    plane = Tensor(np.full((2, 1, 6, 6), 0.7), dtype="float64")
+    stats = [(bn.running_mean.copy(), bn.running_var.copy()) for bn, _ in unit.layers]
+    got = unit.forward(feats, time=plane, mode=mode)
+
+    hs, time = feats, plane
+    for (bn, w), buffers in zip(unit.layers, stats):
+        hs = [unfused_preact_conv(hs, time, w.value, bn.gamma.value, bn.beta.value, buffers,
+                                  mode, w.value.shape[-1] // 2)]
+        time = None
+    assert got.data.tobytes() == hs[0].data.tobytes()
+    for (bn, _), (rmean, rvar) in zip(unit.layers, stats):
+        assert np.array_equal(bn.running_mean, rmean) and np.array_equal(bn.running_var, rvar)
 
 
 class TestIrkStepBlock:

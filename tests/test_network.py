@@ -84,13 +84,14 @@ class TestForward:
         ("period0.step0.stage1.growth0.conv.w", "period0/step0/stage1:conv2d"),
         ("period1.step1.growth1.conv.w", "period1/step1/growth1:conv2d"),
         ("period2.step0.init2.conv.w", "period2/step0/init2:conv2d"),
-        ("period2.step0.update1.conv.w", "period2/step0/update1:conv2d")])
+        ("period2.step0.update1.conv.w", "period2/step0/update1:conv2d"),
+        ("period0.step0.stage1.growth0.bn.gamma", "period0/step0/stage1:batchnorm2d")])
     def test_nonfinite_growth_output_is_named_by_its_scope(self, param, label):
         # each growth unit's ops run under its step's group scope
         cfg = {"name": "RKNet-2x1_1x2_3x1", "kind": ["erk", "time_channel", "irk"],
                "m": [1, 2, 1], "k": 4, "input_shape": [3, 8, 8], "num_classes": 4}
         model = build(cfg)
-        model.store.params[param].value.data[0, 0, 0, 0] = np.nan
+        model.store.params[param].value.data.flat[0] = np.nan
         set_debug(True)
         try:
             with pytest.raises(NonFiniteError) as exc:

@@ -8,11 +8,12 @@ import pytest
 
 from rknet import ops, parallel
 from rknet.rng import make_rng
-from rknet.tensor import Parameter, ShapeError, Tape, Tensor, backward
+from rknet.tensor import (NonFiniteError, Parameter, ShapeError, Tape, Tensor, backward,
+                          set_debug)
 
 from oracles import (fd_gradcheck, mean_all, naive_conv2d, naive_conv2d_grads,
                      naive_softmax_cross_entropy, two_pass_batchnorm,
-                     two_pass_batchnorm_grads)
+                     two_pass_batchnorm_grads, unfused_preact_conv)
 
 
 class TestConv2d:
@@ -387,6 +388,22 @@ class TestBatchNorm:
             tracemalloc.stop()
         assert peak < gx.nbytes + x.data.nbytes // 4
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_statistics_do_not_depend_on_the_channel_groups(self, monkeypatch, dtype):
+        # one channel per chunk against all five in one: a one-channel group's
+        # centred scratch must not be one run of 8 images, which einsum would
+        # sum in another order than one image at a time
+        x = Tensor(np.random.default_rng(26).normal(size=(8, 5, 16, 16)) * 2 + 1, dtype=dtype)
+
+        def running_var(chunk_bytes):
+            monkeypatch.setattr(parallel, "CHUNK_BYTES", chunk_bytes)
+            stats = (np.zeros(5, dtype), np.ones(5, dtype))
+            ops.batchnorm2d(x, Tensor(np.ones(5, dtype)), Tensor(np.zeros(5, dtype)), *stats,
+                            "train")
+            return stats[1]
+
+        assert running_var(1).tobytes() == running_var(1 << 20).tobytes()
+
     def test_eval_backward_ignores_a_later_train_update(self):
         rng = np.random.default_rng(23)
         x = Tensor(rng.normal(size=(4, 3, 5, 5)) * 2 + 1, dtype="float64")
@@ -406,6 +423,120 @@ class TestBatchNorm:
         ref_gx, ref_gdot = eval_grads(False)
         gx, gdot = eval_grads(True)
         assert np.array_equal(gx, ref_gx) and np.array_equal(gdot, ref_gdot)
+
+
+def fused_preact_conv(xs, time, w, gamma, beta, stats, mode, pad):
+    rest = [*xs[1:], *([] if time is None else [time])]
+    return ops.conv2d(xs[0], w, pad=pad, rest=rest, norm=(gamma, beta, *stats, mode))
+
+
+class TestFusedConv:
+    """conv2d with a ``norm``: batchnorm and relu applied while it pads."""
+
+    @staticmethod
+    def run(conv, dtype, mode, widths, raw, k, seed=30, size=(3, 5, 6)):
+        """Output, every gradient (inputs, time plane, w, gamma, beta) and
+        the running buffers of one forward and backward of ``conv`` on
+        inputs of ``size`` (N, H, W)."""
+        rng = np.random.default_rng(seed)
+        n, h, wd = size
+
+        def param(name, value):
+            return Parameter(Tensor(np.asarray(value), dtype=dtype), name)
+
+        xs = [param(f"x{i}", rng.normal(size=(n, c, h, wd)) * 2 + 1) for i, c in enumerate(widths)]
+        time = param("time", np.full((n, 1, h, wd), 0.7)) if raw else None
+        cn = sum(widths)
+        w = param("w", rng.normal(size=(4, cn + raw, k, k)) * 0.3)
+        gamma, beta = param("gamma", rng.normal(size=cn) + 1), param("beta", rng.normal(size=cn))
+        stats = (rng.uniform(-1, 1, cn).astype(dtype), rng.uniform(0.5, 2, cn).astype(dtype))
+        with Tape() as tape:
+            out = conv([x.value for x in xs], time and time.value, w.value, gamma.value,
+                       beta.value, stats, mode, k // 2)
+            loss = ops.sum_all(ops.sigmoid(out))
+        backward(tape, loss)
+        params = [*xs, *([time] if raw else []), w, gamma, beta]
+        return [out.data, *(p.grad.data for p in params), *stats]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_equals_the_unfused_chain_bitwise(self, dtype, mode, k):
+        for widths in ((3,), (3, 2), (2, 4, 3)):
+            for raw in (False, True):
+                case = (widths, raw)
+                want = self.run(unfused_preact_conv, dtype, mode, widths, raw, k)
+                got = self.run(fused_preact_conv, dtype, mode, widths, raw, k)
+                assert len(got) == len(want), case
+                for i, (g, r) in enumerate(zip(got, want)):
+                    assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), (case, i)
+
+    def test_equals_the_unfused_chain_over_one_channel_chunks(self, monkeypatch):
+        # every channel and every image its own chunk, so the statistics, the
+        # pad, the crop and the sums each run as many chunks on every participant
+        monkeypatch.setattr(parallel, "CHUNK_BYTES", 1)
+        for dtype in ("float32", "float64"):
+            want = self.run(unfused_preact_conv, dtype, "train", (3, 2), True, 3, 31, (8, 16, 16))
+            got = self.run(fused_preact_conv, dtype, "train", (3, 2), True, 3, 31, (8, 16, 16))
+            for i, (g, r) in enumerate(zip(got, want)):
+                assert g.tobytes() == r.tobytes(), (dtype, i)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(32)
+        xs = [Parameter(Tensor(rng.normal(size=(3, c, 5, 5)) + 0.5, dtype="float64"), f"x{c}")
+              for c in (2, 3)]
+        time = Tensor(np.full((3, 1, 5, 5), 0.4), dtype="float64")
+        w = Parameter(Tensor(rng.normal(size=(4, 6, 3, 3)) * 0.3, dtype="float64"), "w")
+        gamma = Parameter(Tensor(rng.normal(size=5) + 1, dtype="float64"), "gamma")
+        beta = Parameter(Tensor(rng.normal(size=5) * 0.5, dtype="float64"), "beta")
+        stats = (np.zeros(5), np.ones(5))
+
+        def compute():
+            norm = (gamma.value, beta.value, *stats, "train")
+            out = ops.conv2d(xs[0].value, w.value, pad=1, rest=[xs[1].value, time], norm=norm)
+            return mean_all(ops.sigmoid(out))
+
+        with Tape() as tape:
+            loss = compute()
+        backward(tape, loss)
+        worst = fd_gradcheck(lambda: compute().data, [*xs, w, gamma, beta], rng, n_coords=25)
+        assert worst < 1e-4, worst
+
+    @pytest.mark.parametrize("offset", [0, 10, 100, 1000])
+    def test_float32_gradients_match_a_float64_oracle_far_from_zero_mean(self, offset):
+        # as TestBatchNorm's test of the same name, through the fused op: an
+        # identity 1x1 conv and a beta that keeps every relu input positive
+        # make the conv's output gradient the batchnorm's
+        rng = np.random.default_rng(24)
+        shape = (8, 4, 8, 8)
+        x = (np.round(rng.normal(size=shape) * 32) / 32 + offset).astype(np.float32)
+        gamma = (rng.uniform(0.5, 1.5, size=4)).astype(np.float32)
+        beta = np.full(4, 20.0, dtype=np.float32)
+        gout = rng.normal(size=shape).astype(np.float32)
+        w = np.eye(4, dtype=np.float32).reshape(4, 4, 1, 1)
+        norm = (Tensor(gamma), Tensor(beta), np.zeros(4, np.float32), np.ones(4, np.float32),
+                "train")
+        with Tape() as tape:
+            out = ops.conv2d(Tensor(x[:, :1]), Tensor(w), rest=[Tensor(x[:, 1:])], norm=norm)
+        assert out.data.min() > 0
+        gx0, gx1, _, dgamma, dbeta = tape._nodes[-1].backward_fn(gout)
+        ref_gx, ref_dgamma, ref_dbeta = two_pass_batchnorm_grads(x, gamma, gout)
+        bounds = {"gx": 1e-5, "dgamma": 1e-6, "dbeta": 1e-6}
+        got = (np.concatenate([gx0, gx1], axis=1), dgamma, dbeta)
+        for (name, bound), g, ref in zip(bounds.items(), got, (ref_gx, ref_dgamma, ref_dbeta)):
+            assert g.dtype == np.float32, name
+            assert np.max(np.abs(g - ref)) <= bound * np.max(np.abs(ref)), name
+
+    def test_a_non_finite_batchnorm_value_is_named_as_batchnorm_s(self):
+        x = Tensor(np.ones((2, 2, 3, 3)), dtype="float64")
+        norm = (Tensor(np.array([np.nan, 1.0])), Tensor(np.zeros(2)), np.zeros(2), np.ones(2),
+                "eval")
+        set_debug(True)
+        try:
+            with pytest.raises(NonFiniteError, match=":batchnorm2d"):
+                ops.conv2d(x, Tensor(np.ones((1, 2, 1, 1))), norm=norm)
+        finally:
+            set_debug(False)
 
 
 class TestStructuralOps:
@@ -698,6 +829,16 @@ GUARDS = {
                                    ShapeError, "broadcast_plane expects a scalar tensor"),
     "mul-channelwise-s-shape": (lambda: ops.mul_channelwise(_zeros(2, 3, 2, 2), _zeros(3, 2)),
                                 ShapeError, r"needs s of shape \(2, 3\)"),
+    "conv2d-norm-wider-than-input": (lambda: ops.conv2d(_zeros(1, 2, 4, 4), _zeros(2, 2, 3, 3),
+                                                        norm=(_zeros(3), _zeros(3), np.zeros(3),
+                                                              np.ones(3), "train")),
+                                     ShapeError, "does not fit the input's 2 channels"),
+    "conv2d-rest-size-mismatch": (lambda: ops.conv2d(_zeros(1, 2, 4, 4), _zeros(2, 3, 3, 3),
+                                                     rest=[_zeros(1, 1, 4, 5)]),
+                                  ShapeError, "every input needs x's batch and spatial size"),
+    "conv2d-mode": (lambda: ops.conv2d(_zeros(1, 2, 4, 4), _zeros(2, 2, 3, 3),
+                                       norm=(_zeros(2), _zeros(2), np.zeros(2), np.ones(2), "test")),
+                    ValueError, "conv2d: mode must be 'train' or 'eval'"),
     "batchnorm-mode": (lambda: ops.batchnorm2d(_zeros(1, 2, 2, 2), _zeros(2), _zeros(2),
                                                np.zeros(2), np.ones(2), "test"),
                        ValueError, "batchnorm2d: mode must be 'train' or 'eval'"),

@@ -41,6 +41,36 @@ def test_a_relu_input_far_from_0_is_not_named_as_a_kink():
     assert ops.relu.__name__ == "relu"   # the watch is removed again
 
 
+def normalized_conv_of_scaled_input(gamma_value):
+    """A float64 model: a 1x1 conv2d whose eval-mode ``norm`` (running mean 0,
+    running variance 1) has one trainable gamma, so its ReLU inputs are about
+    gamma and 2 * gamma.  No ``ops.relu`` runs."""
+    gamma = Parameter(Tensor(np.full(1, gamma_value), dtype="float64"), "gamma")
+    x = Tensor(np.array([[[[1.0, 2.0]]]]), dtype="float64")
+    w = Tensor(np.ones((1, 1, 1, 1)), dtype="float64")
+    beta = Tensor(np.zeros(1), dtype="float64")
+
+    def loss():
+        norm = (gamma.value, beta, np.zeros(1), np.ones(1), "eval")
+        return mean_all(ops.conv2d(x, w, norm=norm))
+
+    with Tape() as tape:
+        out = loss()
+    backward(tape, out)
+    return gamma, lambda: loss().data
+
+
+def test_a_kink_inside_a_normalized_conv_is_named_as_a_kink():
+    gamma, loss_fn = normalized_conv_of_scaled_input(1e-7)
+    worst = fd_gradcheck(loss_fn, [gamma], np.random.default_rng(0), n_coords=1)
+    assert worst > 0.1   # the difference straddles the kink
+    assert nearest_relu_input(loss_fn, gamma, 0, 1e-5) < 1e-5
+    assert "gamma[0]; a ReLU input within h=1e-05 of 0" in repr(worst)
+    assert ops.conv2d.__name__ == "conv2d"   # the watch is removed again
+    far, loss_fn = normalized_conv_of_scaled_input(0.5)
+    assert nearest_relu_input(loss_fn, far, 0, 1e-5) > 0.4
+
+
 def test_a_nan_gradient_is_the_worst_error_and_named():
     w = Parameter(Tensor(np.array([1.0, 2.0, 3.0]), dtype="float64"), "w")
 

@@ -38,6 +38,8 @@ OPS = "src/rknet/ops.py"
 TRAIN = "src/rknet/train.py"
 CONV_TESTS = ("tests/test_ops.py::TestConv2d::test_gradients_match_loop_oracle",
               "tests/test_ops.py::TestConv2d::test_block_walk_matches_loop_oracles")
+FUSED_TESTS = ("tests/test_ops.py::TestFusedConv::test_equals_the_unfused_chain_bitwise",
+               "tests/test_ops.py::TestFusedConv::test_gradients_match_finite_differences")
 
 MUTANTS = [
     # conv2d.  A non-zero tail alone is an equivalent mutant: the tail only
@@ -71,6 +73,15 @@ MUTANTS = [
            "            gw += part",
            "            gw[...] = part",
            CONV_TESTS[1:]),
+    # conv2d's batchnorm -> relu prologue
+    Mutant("fused-relu-mask-dropped", OPS,
+           "            xf[:cn, a:b] *= kept\n",
+           "",
+           FUSED_TESTS),
+    Mutant("fused-running-stats-frozen", OPS,
+           "cn, dtype, running_mean, running_var, mode)",
+           "cn, dtype, running_mean.copy(), running_var.copy(), mode)",
+           FUSED_TESTS[:1]),
     # pointwise backward
     Mutant("sigmoid-backward-scaled", OPS,
            "lambda g: (g * s * (1 - s),)",
@@ -98,15 +109,19 @@ MUTANTS = [
            "gx = np.empty_like(xd)",
            "gx = np.empty_like(out)",
            ("tests/test_autodiff.py::test_backward_closures_hold_arrays_not_tensors",)),
+    Mutant("batchnorm-centred-scratch-one-run", OPS,
+           "min(c, widest + 1)",
+           "widest",
+           ("tests/test_ops.py::TestBatchNorm::test_statistics_do_not_depend_on_the_channel_groups",)),
     Mutant("batchnorm-sums-in-input-dtype", OPS,
-           "gsum[s] = np.einsum(\"nchw->c\", gout[:, s], dtype=np.float64)\n"
-           "            gxsum[s] = np.einsum(\"nchw,nchw->c\", gout[:, s], xd[:, s], dtype=np.float64)",
-           "gsum[s] = np.einsum(\"nchw->c\", gout[:, s])\n"
-           "            gxsum[s] = np.einsum(\"nchw,nchw->c\", gout[:, s], xd[:, s])",
+           "gsum[ch] = np.einsum(\"nchw->c\", g[:, s], dtype=np.float64)\n"
+           "        gxsum[ch] = np.einsum(\"nchw,nchw->c\", g[:, s], x[:, s], dtype=np.float64)",
+           "gsum[ch] = np.einsum(\"nchw->c\", g[:, s])\n"
+           "        gxsum[ch] = np.einsum(\"nchw,nchw->c\", g[:, s], x[:, s])",
            ("tests/test_ops.py::TestBatchNorm::"
             "test_float32_gradients_match_a_float64_oracle_far_from_zero_mean",)),
     Mutant("batchnorm-train-gradient-drops-q", OPS,
-           "                gxs += q\n",
+           "    gx += q[ch]\n",
            "",
            ("tests/test_ops.py::TestBatchNorm::test_train_mode_gradients",
             "tests/test_ops.py::TestBatchNorm::"
@@ -196,17 +211,22 @@ MUTANTS = [
            ("tests/test_network.py::TestForward::"
             "test_nonfinite_growth_output_is_named_by_its_scope",)),
     Mutant("preact-drops-time-plane", "src/rknet/blocks.py",
-           "h = ops.concat_channels([h, time])",
-           "h = ops.concat_channels([h, ops.scale(time, 0.0)])",
+           "[*xs, time]",
+           "[*xs, ops.scale(time, 0.0)]",
            ("tests/test_blocks.py::TestTimeChannelStepBlock::test_time_plane_joins_after_bn_relu",)),
+    Mutant("time-plane-normalized", "src/rknet/blocks.py",
+           "[*xs, time]",
+           "[time, *xs]",
+           ("tests/test_blocks.py::test_a_growth_unit_is_the_unfused_chain_over_its_feature_list",
+            "tests/test_blocks.py::TestTimeChannelStepBlock::test_time_plane_joins_after_bn_relu")),
     Mutant("linear-layer-gets-relu", "src/rknet/blocks.py",
-           "h = x if bn is None else ops.relu(bn(x, mode))",
-           "h = ops.relu(x) if bn is None else ops.relu(bn(x, mode))",
+           "return ops.dropout(h, dropout_p, mode, rng)",
+           "return ops.dropout(h if bn else ops.relu(h), dropout_p, mode, rng)",
            ("tests/test_acceptance.py::test_criterion_02_erk_block_is_rk4",
             "tests/test_acceptance.py::test_criterion_03_irk_block_is_gauss2")),
     Mutant("time-plane-reaches-every-layer", "src/rknet/blocks.py",
-           "x, time = _preact_conv(bn, w, x, time, mode, dropout_p, rng), None",
-           "x = _preact_conv(bn, w, x, time, mode, dropout_p, rng)",
+           "xs, time = [_preact_conv(bn, w, xs, time, mode, dropout_p, rng)], None",
+           "xs = [_preact_conv(bn, w, xs, time, mode, dropout_p, rng)]",
            ("tests/test_blocks.py::TestTimeChannelStepBlock::"
             "test_time_plane_reaches_only_a_bottleneck_units_1x1_half",)),
 ]
