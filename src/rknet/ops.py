@@ -1,15 +1,17 @@
 """Differentiable layer primitives (numpy forward + hand-written backward).
 
-Convolution stacks every kernel tap into one GEMM per cache-sized block of a
-padded channel-major copy of the input and shift-adds the partial products
-(see ``conv2d``); the naive sliding-window version lives in the test suite as
-an independent oracle.  conv2d is also the whole BN -> ReLU -> (time plane)
--> conv chain of the pre-activation unit (``blocks._preact_conv``): it reads
-the unit's feature tensors as they are, with no concat, normalizes them as
-batchnorm2d does and writes relu of that straight into its padded buffer, so
-a growth unit makes no concat, batchnorm or relu output.  Its backward
-closure keeps the feature arrays themselves, the taps and per-channel
-numbers, and rebuilds the padded buffer from them.  batchnorm2d, left for
+Convolution walks the batch in groups of whole images: per group, one GEMM
+of every stacked kernel tap against a cache-sized, padded channel-major copy
+of the group's input, then a shift-add of the partial products (see
+``conv2d``), so neither pass builds a batch-sized intermediate.  The naive
+sliding-window version lives in the test suite as an independent oracle.
+conv2d is also the whole BN -> ReLU -> (time plane) -> conv chain of the
+pre-activation unit (``blocks._preact_conv``): it reads the unit's feature
+tensors as they are, with no concat, normalizes them as batchnorm2d does and
+writes relu of that straight into its padded group buffer, so a growth unit
+makes no concat, batchnorm or relu output.  Its backward closure keeps the
+feature arrays themselves, the taps and per-channel numbers, and rebuilds
+each group's padded buffer from them.  batchnorm2d, left for
 the classifier head, and the fused conv share one statistics pass and one
 per-channel backward (``_statistics``, ``_gradient_sums``,
 ``_coefficients``, ``_input_gradient``), with no normalized copy of the
@@ -32,7 +34,7 @@ Every op records itself on the active tape (if any) and is pure given its
 inputs and rng.
 """
 
-import math
+import itertools
 
 import numpy as np
 
@@ -57,10 +59,10 @@ def _check_mode(op, mode):
 # ---------------------------------------------------------------------------
 # Convolution
 
-# Columns of the wide (O, N*Hp*Wp) layout per conv block.  4096 float32
-# columns of a 3x3, 12-output tap stack (108 rows) are 1.7 MiB: the stacked
-# GEMM result and the backward scratch stay cache-sized while every GEMM is
-# still long enough to run at full speed.
+# Wide columns (padded positions) per group of whole images.  4096 float32
+# columns of a 3x3, 12-output tap stack (108 rows) are 1.7 MiB: a group's
+# buffers stay cache-sized while every GEMM is still long enough to run at
+# full speed.  A group holds at least one image.
 CONV_BLOCK = 4096
 
 
@@ -79,39 +81,40 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
     arXiv:1707.06990, and the rebuilt activations of Rota Bulo et al.,
     arXiv:1712.02616).
 
-    The padded input is laid out channel-major as ``xf`` of shape
-    (C, N*Hp*Wp + tail), the tail being zeros.  Kernel tap (i, j) then reads
-    the contiguous slice starting at off = i*Wp + j, so the forward sums
-    k*k shifted GEMMs into a "wide" (O, N*Hp*Wp) output that holds every
+    Both passes walk groups of whole images, about ``CONV_BLOCK`` padded
+    positions each, from start to finish.  A valid output of an image reads
+    only that image's padded region, whatever the stride, so no batch-sized
+    intermediate exists (the per-partition lowering of Cho & Brand's MEC,
+    arXiv:1706.06873).  A group of G images is laid out channel-major and
+    zero-padded as ``xf`` of shape (C, G*Hp*Wp + tail), the tail being zeros.
+    Kernel tap (i, j) then reads the contiguous slice starting at
+    off = i*Wp + j.  The forward runs one GEMM of all k*k*O stacked taps
+    against ``xf`` and adds the k*k row groups, shifted by their offsets, in
+    tap order into the first: a "wide" (O, G*Hp*Wp) output that holds every
     padded position.  Positions whose window crosses a row or image edge are
     cropped away; the output is the strided view of the wide result at the
     top-left corners of the valid windows, so every stride, pad and kernel
-    size takes the same path.
+    size takes the same path.  This is the kn2row scheme of Anderson et al.,
+    arXiv:1709.03395.
 
-    The wide output is built in column blocks of ``CONV_BLOCK``: one GEMM of
-    all k*k*O stacked taps against the block's slice of ``xf`` (plus the
-    tail), then its k*k row groups are shifted by their offsets and added in
-    tap order.  This is the kn2row scheme of Anderson et al.,
-    arXiv:1709.03395, per cache-sized block.  ``xf`` is freed when the
-    forward returns.  The backward closure keeps the input arrays themselves
-    (for a growth unit, the step's feature arrays, which later units and the
-    summation layer read too), the taps and per-channel numbers, and
-    rebuilds ``xf`` from them, prologue included, so no input may change
-    between the two passes.  The backward walks the same blocks: it fills a
-    fixed (k*k, O, block) scratch with the wide output gradient shifted back
-    by each tap's offset and gets one block of gw and of the gradient of
-    ``xf`` from one GEMM each.  Each block reads only its own columns of
-    ``xf``, so it writes its gradient over them, times relu's mask in the
-    normalized rows (``xf > 0``, read before the overwrite), and the rebuilt
-    copy is the only xf-sized array the backward allocates.  The gradient is
-    then cropped into one array per input, and batchnorm's backward runs on
-    the normalized channels in place.  The prologue runs per group of images
-    in a contiguous scratch, which is then copied into ``xf``.
+    The backward closure keeps the input arrays themselves (for a growth
+    unit, the step's feature arrays, which later units and the summation
+    layer read too), the taps and per-channel numbers, so no input may
+    change between the two passes.  Per group it scatters the output
+    gradient into a wide gradient, rebuilds ``xf``, prologue included, fills
+    a (k*k*O, G*Hp*Wp) stack with the wide gradient shifted back by each
+    tap's offset, and gets the group's gw partial and the gradient of ``xf``
+    from one GEMM each.  The latter, times relu's mask in the normalized rows
+    (``xf > 0``), is cropped into one gradient per input.  Batchnorm's
+    backward then runs on the normalized channels in place: a second pass,
+    as its channel sums need the whole batch.
 
-    Blocks, and groups of images for the pad, the crop and the gradient
-    scatter, are chunks of ``parallel.run``.  Each participant has its own
-    scratch, and each block keeps its own gw partial, summed in block order
-    afterwards, so the result does not depend on which thread ran a block.
+    Groups are chunks of ``parallel.run``.  Each participant cuts its
+    buffers from one scratch that the calling thread allocates per pass.
+    ``xf`` and the wide gradient start as zeros, and only image interiors
+    and valid corners are written, so their borders stay zero from group to
+    group.  Each group keeps its own gw partial, summed in group order
+    afterwards, so the result does not depend on which thread ran a group.
     The backward returns one gradient per input, then w's, then gamma's and
     beta's if ``norm`` is given.
     """
@@ -147,20 +150,22 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
                              f"does not fit the input's {c} channels")
 
     hp, wp = h + 2 * pad, wd + 2 * pad
+    hw = hp * wp
     oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    m = n * hp * wp
     kk = kh * kw
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
     tail = offsets[-1]
     arrays = [t.data for t in inputs]
     dtype = np.result_type(*arrays)
-    images = parallel.spans(n, c * hp * wp * dtype.itemsize)
-    block = max(1, min(CONV_BLOCK, m))
-    blocks = [slice(a, min(a + block, m)) for a in range(0, m, block)]
+    groups = parallel.spans(n, hw, CONV_BLOCK)
+    most = max((s.stop - s.start for s in groups), default=0)   # images in the largest group
+    span = most * hw + tail   # the columns of a participant's xf
     # the rows and columns of the valid window corners in the (Hp, Wp) wide layout
     rows, cols = slice(0, (oh - 1) * stride + 1, stride), slice(0, (ow - 1) * stride + 1, stride)
     # how many of each input's channels are normalized: together, the first cn
     normed = [min(max(cn - lo, 0), hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    # one group of the widest normalized input, for the prologue and batchnorm's backward
+    most_normed = most * max(normed) * h * wd
     # batchnorm's per-channel mu, inv = 1 / sqrt(var + BN_EPS), a = gamma * inv and beta
     mu = inv = scale = shift = train = None
     if norm is not None:
@@ -170,12 +175,13 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
         inv = 1.0 / np.sqrt(var + BN_EPS)
         scale, shift = gamma.data * inv, beta.data
 
-    # per participant, one group of images of the widest normalized input
-    most = max(normed) * max((s.stop - s.start for s in images), default=0) * h * wd
-
-    def chunks():
-        scratch = np.empty((parallel.width(images), most), dtype=dtype)
-        return lambda slot, shape: scratch[slot, :math.prod(shape)].reshape(shape)
+    def scratch(zeroed, *sizes):
+        # one buffer per pass, cut per participant into regions of these
+        # sizes, of which the first ``zeroed`` start as zeros
+        buf = np.empty((parallel.width(groups), sum(sizes)), dtype=dtype)
+        ends = list(itertools.accumulate(sizes))
+        buf[:, :ends[zeroed - 1]] = 0
+        return lambda slot: [buf[slot, a:b] for a, b in zip([0, *ends], ends)]
 
     def prologue(src, lo, out):
         # relu((x - mu) * a + beta) of NCHW src, channels lo.. of the input, into out
@@ -186,98 +192,75 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
         check_finite(v, "batchnorm2d")   # a non-finite value is batchnorm's, and named so
         return np.maximum(v, 0, out=v)
 
-    def padded():
-        # the input channel-major and zero-padded, with a zero tail: (C, N*Hp*Wp + tail)
-        xf = np.zeros((c, m + tail), dtype=dtype)
-        xf_images = xf[:, :m].reshape(c, n, hp, wp)
-        chunk = chunks()
+    def fill(s, xf, tmp):
+        # images s of the input, channel-major, into the interiors of the
+        # zero-bordered (C, span) xf; returns the group's xf, tail included
+        g = s.stop - s.start
+        xf[:, g * hw:g * hw + tail] = 0   # where an image of a larger group may lie
+        xf_images = xf[:, :g * hw].reshape(c, g, hp, wp)
+        for arr, lo, hi, k in zip(arrays, bounds, bounds[1:], normed):
+            src = arr[s]
+            dst = xf_images[lo:hi, :, pad:pad + h, pad:pad + wd]
+            if k:   # computed in a contiguous scratch, then copied in
+                normal = src[:, :k]
+                normal = prologue(normal, lo, tmp[:normal.size].reshape(normal.shape))
+                dst[:k] = normal.transpose(1, 0, 2, 3)
+            dst[k:] = src[:, k:].transpose(1, 0, 2, 3)
+        return xf[:, :g * hw + tail]
 
-        def pad_images(s, slot):
-            for arr, lo, hi, k in zip(arrays, bounds, bounds[1:], normed):
-                src = arr[s]
-                dst = xf_images[lo:hi, s, pad:pad + h, pad:pad + wd]
-                if k:   # computed in a contiguous chunk, then copied in
-                    normal = src[:, :k]
-                    dst[:k] = prologue(normal, lo, chunk(slot, normal.shape)).transpose(1, 0, 2, 3)
-                dst[k:] = src[:, k:].transpose(1, 0, 2, 3)
-
-        parallel.run(pad_images, images)
-        return xf
-
-    xf = padded()
     taps = w.data.transpose(2, 3, 0, 1).reshape(kk * o, c)
-    wide = np.empty((o, m), dtype=dtype)
-    scratch = np.empty((parallel.width(blocks), kk * o * (block + tail)), dtype=dtype)
-
-    def forward_block(s, slot):
-        a, b = s.start, s.stop
-        # stacked[t*O + r, q] = taps[t][r] . xf[:, a + q]; tap t adds its
-        # columns off_t.. to wide[:, a:b]
-        stacked = scratch[slot, :kk * o * (b - a + tail)].reshape(kk * o, b - a + tail)
-        np.matmul(taps, xf[:, a:b + tail], out=stacked)
-        wide[:, a:b] = stacked[:o, :b - a]
-        for t in range(1, kk):
-            wide[:, a:b] += stacked[t * o:(t + 1) * o, offsets[t]:offsets[t] + b - a]
-
-    parallel.run(forward_block, blocks)
-    # scratch is freed before the output is allocated; xf only when conv2d
-    # returns, as freeing it here as well raised eval-mode peak RSS by 5%
-    scratch = None
-    wide_images = wide.reshape(o, n, hp, wp)
     out = np.empty((n, o, oh, ow), dtype=dtype)
+    regions = scratch(1, c * span, kk * o * span, most_normed)
 
-    def crop_images(s, slot):
-        out[s] = wide_images[:, s, rows, cols].transpose(1, 0, 2, 3)
+    def forward_group(s, slot):
+        xf, stack, tmp = regions(slot)
+        gm = (s.stop - s.start) * hw   # the group's wide columns
+        xf = fill(s, xf.reshape(c, span), tmp)
+        # stacked[t*O + r, q] = taps[t][r] . xf[:, q]; tap t adds its columns
+        # off_t.. to the wide output, the first row group
+        stacked = stack[:kk * o * (gm + tail)].reshape(kk * o, gm + tail)
+        np.matmul(taps, xf, out=stacked)
+        wide = stacked[:o, :gm]
+        for t in range(1, kk):
+            wide += stacked[t * o:(t + 1) * o, offsets[t]:offsets[t] + gm]
+        out[s] = wide.reshape(o, -1, hp, wp)[:, :, rows, cols].transpose(1, 0, 2, 3)
 
-    parallel.run(crop_images, images)
+    parallel.run(forward_group, groups)
 
     def backward_fn(gout):
-        # gpad[:, tail + p] is the gradient of wide column p; tap t read xf
-        # column q into wide column q - off_t, so its shifted gradient at q
-        # is gpad[:, tail - off_t + q] (zero where q - off_t < 0).  Columns
-        # q >= m of xf (the zero tail) only ever met zero gradient.
-        gpad = np.zeros((o, tail + m), dtype=dtype)
-        gpad_images = gpad[:, tail:].reshape(o, n, hp, wp)
         gout_cn = gout.transpose(1, 0, 2, 3)
-
-        def scatter_images(s, slot):
-            gpad_images[:, s, rows, cols] = gout_cn[:, s]
-
-        parallel.run(scatter_images, images)
-        # one gw partial per block, summed in block order below
-        gw_blocks = np.empty((len(blocks), kk * o, c), dtype=dtype)
-        # each block reads its own columns of xf for gw, then overwrites them
-        # with the same columns of the gradient of xf
-        xf = padded()
-        scratch = np.empty((parallel.width(blocks), kk * o * block), dtype=dtype)
         taps_t = np.ascontiguousarray(taps.T)
-
-        def backward_block(s, slot):
-            a, b = s.start, s.stop
-            shifted = scratch[slot, :kk * o * (b - a)].reshape(kk, o, b - a)
-            for t in range(kk):
-                shifted[t] = gpad[:, tail - offsets[t] + a:tail - offsets[t] + b]
-            shifted = shifted.reshape(kk * o, b - a)
-            np.matmul(shifted, xf[:, a:b].T, out=gw_blocks[a // block])
-            kept = xf[:cn, a:b] > 0   # relu's mask, from its output
-            np.matmul(taps_t, shifted, out=xf[:, a:b])
-            # relu's gradient: g where its input is > 0, so -0.0 where g < 0 and it is not
-            xf[:cn, a:b] *= kept
-
-        parallel.run(backward_block, blocks)
-        gpad = scratch = None  # freed, so the copy into the gradients peaks at them + xf + gw
-        gw = np.zeros((kk * o, c), dtype=dtype)
-        for part in gw_blocks:
-            gw += part
-        gw_blocks = None
-        gxf_images = xf[:, :m].reshape(c, n, hp, wp)
         gxs = [np.empty(arr.shape, dtype=dtype) for arr in arrays]
+        gw_parts = np.empty((len(groups), kk * o, c), dtype=dtype)   # one per group
+        regions = scratch(2, c * span, o * span, kk * o * most * hw, c * most * hw, most_normed)
 
-        def crop_gradient(s, slot):
+        def backward_group(job, slot):
+            i, s = job
+            xf, gpad, stack, gxf, tmp = regions(slot)
+            gm = (s.stop - s.start) * hw
+            xf = fill(s, xf.reshape(c, span), tmp)[:, :gm]
+            # gpad[:, tail + p] is the gradient of wide column p; tap t read xf
+            # column q into wide column q - off_t, so its shifted gradient at q
+            # is gpad[:, tail - off_t + q] (zero where q - off_t < 0).  Columns
+            # q >= gm of xf (the zero tail) only ever met zero gradient.
+            gpad = gpad.reshape(o, span)
+            gpad[:, tail:tail + gm].reshape(o, -1, hp, wp)[:, :, rows, cols] = gout_cn[:, s]
+            shifted = stack[:kk * o * gm].reshape(kk, o, gm)
+            for t in range(kk):
+                shifted[t] = gpad[:, tail - offsets[t]:tail - offsets[t] + gm]
+            shifted = shifted.reshape(kk * o, gm)
+            np.matmul(shifted, xf.T, out=gw_parts[i])
+            gxf = np.matmul(taps_t, shifted, out=gxf[:c * gm].reshape(c, gm))
+            # relu's gradient: g where its input is > 0, so -0.0 where g < 0 and it is not
+            gxf[:cn] *= xf[:cn] > 0
+            gxf_images = gxf.reshape(c, -1, hp, wp)
             for gx, lo, hi in zip(gxs, bounds, bounds[1:]):
-                gx[s] = gxf_images[lo:hi, s, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
+                gx[s] = gxf_images[lo:hi, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
 
-        parallel.run(crop_gradient, images)
+        parallel.run(backward_group, list(enumerate(groups)))
+        gw = np.zeros((kk * o, c), dtype=dtype)
+        for part in gw_parts:
+            gw += part
         gw = gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
         grads = (*gxs, np.ascontiguousarray(gw))
         if not cn:
@@ -286,16 +269,16 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
                                       in zip(gxs, arrays, bounds, normed) if k], cn)
         gdot, r, q = _coefficients(gsum, gxsum, mu, inv, scale, n * h * wd, train, dtype)
         a3 = scale.reshape(-1, 1, 1)
-        chunk = chunks()
 
         def differentiate(s, slot):
+            tmp = regions(slot)[-1]
             for arr, gx, lo, k in zip(arrays, gxs, bounds, normed):
                 if k:   # batchnorm's backward, in place
                     g = gx[s, :k]
                     _input_gradient(arr[s, :k], g, slice(lo, lo + k), a3, r, q, g,
-                                    chunk(slot, g.shape))
+                                    tmp[:g.size].reshape(g.shape))
 
-        parallel.run(differentiate, images)
+        parallel.run(differentiate, groups)
         return (*grads, gdot.astype(dtype), gsum.astype(dtype))
 
     params = () if norm is None else (gamma, beta)

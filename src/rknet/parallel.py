@@ -135,8 +135,9 @@ def run(fn, chunks):
         raise job.error
 
 
-def spans(n, unit_bytes):
+def spans(n, unit, limit=None):
     """Split range(n) into consecutive slices of near-equal size, each at most
-    about ``CHUNK_BYTES``; ``unit_bytes`` is the size of one index's data."""
-    count = min(n, max(1, -(-n * unit_bytes // CHUNK_BYTES)))
+    about ``limit`` (by default ``CHUNK_BYTES``) and at least one index;
+    ``unit`` is the size of one index's data, in the same measure."""
+    count = min(n, max(1, -(-n * unit // (limit or CHUNK_BYTES))))
     return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]

@@ -140,9 +140,9 @@ def train_epochs(model, train_data, test_data, config, on_epoch_end=None):
                 raise _diagnose_nonfinite(model, x, labels,
                                           make_rng(config.seed, "dropout", epoch, b_idx),
                                           epoch, b_idx)
+            model.zero_grad()   # gradients a caller left in the model are not this step's
             backward(tape, loss)
             sgd_nesterov_step(params, velocity, lr, config.momentum, config.weight_decay)
-            model.zero_grad()
             total_loss += float(loss.data) * len(idxs)
             total_correct += int((logits.data.argmax(axis=1) == labels).sum())
         model.epoch = epoch + 1

@@ -452,7 +452,7 @@ def run_cli_process(*argv):
                           capture_output=True, text=True, timeout=120)
 
 
-# conv2d runs inline on the 8x8 model; at 32x32 its column blocks go to the
+# conv2d runs inline on the 8x8 model; at 32x32 its image groups go to the
 # pool's workers, whose numpy error state is the caller's only if run passes it on
 @pytest.mark.parametrize("size", [8, 32], ids=["inline", "pooled"])
 def test_a_failing_run_prints_exactly_one_stderr_line(tmp_path, size):

@@ -91,17 +91,23 @@ class TestConv2d:
                     assert np.allclose(gx, ref_gx, rtol=1e-10, atol=1e-12), (k, stride, pad)
                     assert np.allclose(gw, ref_gw, rtol=1e-10, atol=1e-12), (k, stride, pad)
 
-    @pytest.mark.parametrize("block", [1, 7])
-    def test_block_walk_matches_loop_oracles(self, monkeypatch, block):
-        # 3x2x4x6 inputs give 72 (pad 0) and 144 (pad 1) wide columns, so a
-        # block of 7 leaves a ragged last block and a block of 1 puts every
-        # tap's shift across a block edge
+    @pytest.mark.parametrize("block, pad0_sizes, pad1_sizes", [
+        pytest.param(1, [1] * 7, [1] * 7, id="one_image"),
+        # ragged groups, a larger one before a smaller
+        pytest.param(34, [1, 1, 2, 1, 2], [1] * 7, id="ragged_34"),
+        pytest.param(70, [2, 2, 3], [1, 1, 2, 1, 2], id="ragged_70"),
+    ])
+    def test_group_walk_matches_loop_oracles(self, monkeypatch, block, pad0_sizes, pad1_sizes):
+        # 7x2x4x6 inputs have 24 (pad 0) and 48 (pad 1) wide columns per
+        # image; a participant's buffers serve groups of every size in turn
         monkeypatch.setattr(ops, "CONV_BLOCK", block)
+        for hw, sizes in ((24, pad0_sizes), (48, pad1_sizes)):
+            assert [len(range(7)[s]) for s in parallel.spans(7, hw, block)] == sizes
         rng = np.random.default_rng(17)
         for k in (1, 2, 3):
             for stride in (1, 2):
                 for pad in (0, 1):
-                    x = rng.normal(size=(3, 2, 4, 6)) + 2.0
+                    x = rng.normal(size=(7, 2, 4, 6)) + 2.0
                     w = rng.normal(size=(3, 2, k, k))
                     with Tape() as tape:
                         out = ops.conv2d(Tensor(x, dtype="float64"), Tensor(w, dtype="float64"),
@@ -115,28 +121,35 @@ class TestConv2d:
                     assert np.allclose(gx, ref_gx, rtol=1e-10, atol=1e-12), case
                     assert np.allclose(gw, ref_gw, rtol=1e-10, atol=1e-12), case
 
-    def test_float32_over_several_blocks_matches_float64_oracle(self):
-        # 10 x 32 x 32 padded positions = 10240 wide columns: two full blocks
-        # and a ragged third at the module's block width
+    def test_float32_over_several_groups_matches_float64_oracle(self):
+        # 10 images of 900 (pad 0) or 1024 (pad 1) wide columns: three groups
+        # of 3, 3 and 4 images at the module's group width, for every k and stride
         rng = np.random.default_rng(18)
-        x = rng.normal(size=(10, 4, 30, 30)).astype(np.float32)
-        w = rng.normal(size=(3, 4, 3, 3)).astype(np.float32)
-        assert 2 * ops.CONV_BLOCK < 10 * 32 * 32 < 3 * ops.CONV_BLOCK
-        with Tape() as tape:
-            out = ops.conv2d(Tensor(x), Tensor(w), stride=1, pad=1)
-        gout = rng.normal(size=out.shape).astype(np.float32)
-        gx, gw = tape._nodes[-1].backward_fn(gout)
-        x64, w64 = x.astype(np.float64), w.astype(np.float64)
-        ref = naive_conv2d(x64, w64, 1, 1)
-        ref_gx, ref_gw = naive_conv2d_grads(x64, w64, gout.astype(np.float64), 1, 1)
-        for got, want in ((out.data, ref), (gx, ref_gx), (gw, ref_gw)):
-            assert got.dtype == np.float32
-            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+        for hw in (30 * 30, 32 * 32):
+            sizes = [len(range(10)[s]) for s in parallel.spans(10, hw, ops.CONV_BLOCK)]
+            assert sizes == [3, 3, 4], hw
+        for k in (1, 2, 3):
+            for stride in (1, 2):
+                for pad in (0, 1):
+                    x = rng.normal(size=(10, 4, 30, 30)).astype(np.float32)
+                    w = rng.normal(size=(3, 4, k, k)).astype(np.float32)
+                    with Tape() as tape:
+                        out = ops.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad)
+                    gout = rng.normal(size=out.shape).astype(np.float32)
+                    gx, gw = tape._nodes[-1].backward_fn(gout)
+                    x64, w64 = x.astype(np.float64), w.astype(np.float64)
+                    ref = naive_conv2d(x64, w64, stride, pad)
+                    ref_gx, ref_gw = naive_conv2d_grads(x64, w64, gout.astype(np.float64),
+                                                        stride, pad)
+                    for got, want in ((out.data, ref), (gx, ref_gx), (gw, ref_gw)):
+                        assert got.dtype == np.float32
+                        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want)), \
+                            (k, stride, pad)
 
-    def test_backward_transient_is_one_block_of_tap_stack(self):
-        # a growth conv (36 -> 12, 3x3, pad 1) with 20736 wide columns: a
-        # stack of the wide gradient for all 9 taps would be 9 MB on its own;
-        # each thread that runs blocks has its own one-block scratch
+    def test_backward_transient_is_one_group_per_participant(self):
+        # a growth conv (36 -> 12, 3x3, pad 1) over 6 groups of 10 or 11
+        # images: a stack of the wide gradient for all 9 taps would be 9 MB
+        # on its own; each participant has one group's buffers
         rng = np.random.default_rng(19)
         n, c, o, side = 64, 36, 12, 16
         x = Tensor(rng.normal(size=(n, c, side, side)).astype(np.float32))
@@ -150,11 +163,45 @@ class TestConv2d:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        m = n * (side + 2) ** 2
-        gxf = c * m * 4
-        threads = parallel.width(range(0, m, ops.CONV_BLOCK))
-        scratch = threads * 9 * o * min(ops.CONV_BLOCK, m) * 4
-        assert peak <= gx.nbytes + gxf + gw.nbytes + scratch
+        hw = (side + 2) ** 2
+        groups = parallel.spans(n, hw, ops.CONV_BLOCK)
+        assert len(groups) == 6
+        columns = max(len(range(n)[s]) for s in groups) * hw + 2 * (side + 2) + 2
+        # xf, its gradient, the wide gradient and the tap stack of one group
+        participant = (2 * c + o + 9 * o) * columns * 4
+        partials = len(groups) * gw.nbytes
+        assert peak <= gx.nbytes + gw.nbytes + partials + parallel.width(groups) * participant
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_peaks_beyond_the_outputs_stay_well_below_one_batch_sized_xf(self, monkeypatch,
+                                                                         mode):
+        # the paper's widest growth conv (BN -> ReLU -> 36 -> 12 channels,
+        # 3x3, 32x32) at batch 256, 73 groups: a padded channel-major copy of
+        # the batch would be 42.6 MB, the wide output 14.2 MB; two participants
+        pool = parallel._pool()
+        monkeypatch.setattr(pool, "workers", min(pool.workers, 1))
+        rng = np.random.default_rng(20)
+        n, c, o, side = 256, 36, 12, 32
+        x = Tensor(rng.normal(size=(n, c, side, side)).astype(np.float32))
+        w = Tensor(rng.normal(size=(o, c, 3, 3)).astype(np.float32))
+        norm = (Tensor(np.ones(c, np.float32)), Tensor(np.zeros(c, np.float32)),
+                np.zeros(c, np.float32), np.ones(c, np.float32), mode)
+        batch_xf = c * n * (side + 2) ** 2 * 4
+        gout = np.ones((n, o, side, side), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = ops.conv2d(x, w, stride=1, pad=1, norm=norm)
+                forward_held, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            grads = tape._nodes[-1].backward_fn(gout)
+            backward_held, backward_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs, returned = out.data.nbytes, sum(g.nbytes for g in grads)
+        assert forward_held >= outputs and backward_held - forward_held >= returned
+        assert forward_peak - outputs <= batch_xf // 3
+        assert backward_peak - forward_held - returned <= batch_xf // 3
 
     def test_tape_keeps_about_one_copy_of_the_input(self):
         rng = np.random.default_rng(3)

@@ -11,7 +11,7 @@ from rknet import network, ops
 from rknet import train as T
 from rknet.data import gen_synthetic_shapes, DatasetHandle
 from rknet.rng import make_rng
-from rknet.tensor import Parameter, Tensor
+from rknet.tensor import Parameter, Tape, Tensor, backward
 
 TINY_MODEL = {"name": "ERKNet-2x1", "k": 6, "input_shape": [3, 16, 16], "num_classes": 4}
 
@@ -190,6 +190,25 @@ class TestTrainEpochs:
         cfg = T.TrainConfig(epochs=1, batch_size=16, seed=0)
         with pytest.raises(T.TrainingDivergedError, match="postprocessor.*fully_connected"):
             T.train_epochs(model, tiny_data(), tiny_data(4, split="test"), cfg)
+
+    def test_gradients_left_in_the_model_do_not_reach_the_first_step(self, tmp_path):
+        # an eval-mode backward leaves gradients but no running-statistics update,
+        # so the run must write what a run on the fresh model writes
+        train, test = tiny_data(), tiny_data(4, split="test")
+        files = []
+        for prior in (False, True):
+            model = tiny_model(seed=8)
+            if prior:
+                with Tape() as tape:
+                    logits, _ = network.forward(model, test.images, mode="eval")
+                    loss = ops.softmax_cross_entropy(logits, test.labels)
+                backward(tape, loss)
+                assert any(np.any(p.grad.data != 0) for p in model.parameters())
+            cfg = T.TrainConfig(epochs=1, batch_size=16, seed=8)
+            T.write_metrics_csv(T.train_epochs(model, train, test, cfg), tmp_path / "m.csv")
+            network.save_checkpoint(model, tmp_path / "model.ckpt")
+            files.append([(tmp_path / name).read_bytes() for name in ("m.csv", "model.ckpt")])
+        assert files[0] == files[1]
 
     def test_epoch_counter_advances(self):
         model = tiny_model(seed=3)

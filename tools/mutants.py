@@ -37,45 +37,57 @@ Mutant = namedtuple("Mutant", "name path old new tests")
 OPS = "src/rknet/ops.py"
 TRAIN = "src/rknet/train.py"
 CONV_TESTS = ("tests/test_ops.py::TestConv2d::test_gradients_match_loop_oracle",
-              "tests/test_ops.py::TestConv2d::test_block_walk_matches_loop_oracles")
+              "tests/test_ops.py::TestConv2d::test_group_walk_matches_loop_oracles")
 FUSED_TESTS = ("tests/test_ops.py::TestFusedConv::test_equals_the_unfused_chain_bitwise",
                "tests/test_ops.py::TestFusedConv::test_gradients_match_finite_differences")
 
 MUTANTS = [
-    # conv2d.  A non-zero tail alone is an equivalent mutant: the tail only
-    # reaches wide columns that the crop drops, so the fill covers the pad border too.
+    # conv2d's group walk.  A non-zero tail alone is an equivalent mutant: the
+    # tail only reaches wide columns that the crop drops, so the fill covers
+    # the pad border too.
     Mutant("conv-nonzero-xf-fill", OPS,
-           "xf = np.zeros((c, m + tail), dtype=dtype)",
-           "xf = np.full((c, m + tail), 0.5, dtype=dtype)",
+           "buf[:, :ends[zeroed - 1]] = 0",
+           "buf[:, :ends[zeroed - 1]] = 0.5",
            CONV_TESTS),
     Mutant("conv-stray-wide-gradient-write", OPS,
-           "parallel.run(scatter_images, images)",
-           "parallel.run(scatter_images, images)\n        gpad[:, -1] += 1",
+           "[:, :, rows, cols] = gout_cn[:, s]",
+           "[:, :, rows, cols] = gout_cn[:, s]\n            gpad[:, -1] += 1",
            CONV_TESTS),
     Mutant("conv-gx-shifted-by-one", OPS,
-           "gxf_images = xf[:, :m].reshape(c, n, hp, wp)",
-           "gxf_images = np.roll(xf[:, :m], 1, axis=1).reshape(c, n, hp, wp)",
+           "gxf_images = gxf.reshape(c, -1, hp, wp)",
+           "gxf_images = np.roll(gxf, 1, axis=1).reshape(c, -1, hp, wp)",
            CONV_TESTS),
     Mutant("conv-backward-reads-zeroed-copy", OPS,
-           "        xf = padded()",
-           "        xf = np.zeros((c, m + tail), dtype=dtype)",
+           "            xf = fill(s, xf.reshape(c, span), tmp)[:, :gm]",
+           "            xf = xf.reshape(c, span)[:, :gm]",
            CONV_TESTS),
-    Mutant("conv-closure-keeps-xf", OPS,
-           "        xf = padded()\n",
-           "",
+    Mutant("conv-closure-keeps-forward-scratch", OPS,
+           "    parallel.run(forward_group, groups)\n\n    def backward_fn(gout):\n",
+           "    parallel.run(forward_group, groups)\n\n    def backward_fn(gout):\n"
+           "        nonlocal regions\n",
            ("tests/test_ops.py::TestConv2d::test_tape_keeps_no_padded_copy",
             "tests/test_autodiff.py::test_backward_closures_hold_arrays_not_tensors")),
-    Mutant("conv-block-fill-ignores-block-start", OPS,
-           "shifted[t] = gpad[:, tail - offsets[t] + a:tail - offsets[t] + b]",
-           "shifted[t] = gpad[:, tail - offsets[t]:tail - offsets[t] + b - a]",
+    Mutant("conv-scatter-ignores-group-start", OPS,
+           "= gout_cn[:, s]",
+           "= gout_cn[:, :s.stop - s.start]",
            CONV_TESTS[1:]),
-    Mutant("conv-gw-overwritten-per-block", OPS,
+    Mutant("conv-groups-overlap-by-one-image", OPS,
+           "groups = parallel.spans(n, hw, CONV_BLOCK)",
+           "groups = [slice(s.start, min(s.stop + 1, n)) for s in parallel.spans(n, hw, CONV_BLOCK)]",
+           CONV_TESTS[1:]),
+    Mutant("conv-gw-overwritten-per-group", OPS,
            "            gw += part",
            "            gw[...] = part",
            CONV_TESTS[1:]),
+    Mutant("conv-batch-sized-xf", OPS,
+           "    regions = scratch(1, ",
+           "    xf = np.zeros((c, n * hw + tail), dtype=dtype)   # the whole batch, padded\n"
+           "    regions = scratch(1, ",
+           ("tests/test_ops.py::TestConv2d::"
+            "test_peaks_beyond_the_outputs_stay_well_below_one_batch_sized_xf",)),
     # conv2d's batchnorm -> relu prologue
     Mutant("fused-relu-mask-dropped", OPS,
-           "            xf[:cn, a:b] *= kept\n",
+           "            gxf[:cn] *= xf[:cn] > 0\n",
            "",
            FUSED_TESTS),
     Mutant("fused-running-stats-frozen", OPS,
@@ -147,6 +159,11 @@ MUTANTS = [
            "total_loss += float(loss.data) / len(labels)",
            ("tests/test_train.py::TestReportedMetrics::"
             "test_evaluate_equals_one_eval_forward_over_all_images",)),
+    Mutant("train-keeps-the-callers-gradients", TRAIN,
+           "            model.zero_grad()   # gradients a caller left in the model are not this step's\n",
+           "",
+           ("tests/test_train.py::TestTrainEpochs::"
+            "test_gradients_left_in_the_model_do_not_reach_the_first_step",)),
     Mutant("train-loss-times-count", TRAIN,
            '"train_loss": total_loss / len(perm)',
            '"train_loss": total_loss * len(perm)',
