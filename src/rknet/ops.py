@@ -13,13 +13,15 @@ makes no concat, batchnorm or relu output.  Its backward closure keeps the
 feature arrays themselves, the taps and per-channel numbers, and rebuilds
 each group's padded buffer from them.  batchnorm2d, left for
 the classifier head, and the fused conv share one statistics pass and one
-per-channel backward (``_statistics``, ``_gradient_sums``,
-``_coefficients``, ``_input_gradient``), with no normalized copy of the
-input; relu keeps no mask.  Dropout keeps a boolean mask, not the scaled
-factors.  Each op computes in its input's dtype.  conv2d, batchnorm2d, relu,
-concat_channels and add run their passes in chunks on the calling thread
-plus a worker pool (``parallel.run``); a chunk never splits a sum, so
-results do not depend on the number of threads.
+per-channel backward (``_statistics``, ``_coefficients``,
+``_input_gradient``), with no normalized copy of the input; relu keeps no
+mask.  Dropout keeps a boolean mask, not the scaled factors.  Each op
+computes in its input's dtype.  conv2d, add, and batchnorm's channel
+statistics and gradient sums run their passes in chunks on the calling
+thread plus a worker pool (``parallel.run``); a chunk never splits a sum,
+so results do not depend on the number of threads.  relu, concat_channels
+and batchnorm2d's own normalize and input-gradient passes, which no growth
+unit runs, are one numpy call each over the whole array.
 
 Backward closures capture the arrays and shapes they read, never a tensor.
 Tape nodes keep only serial numbers and a weak reference to the output, so
@@ -265,9 +267,9 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
         grads = (*gxs, np.ascontiguousarray(gw))
         if not cn:
             return grads
-        gsum, gxsum = _gradient_sums([(gx[:, :k], arr[:, :k], lo) for gx, arr, lo, k
-                                      in zip(gxs, arrays, bounds, normed) if k], cn)
-        gdot, r, q = _coefficients(gsum, gxsum, mu, inv, scale, n * h * wd, train, dtype)
+        dgamma, dbeta, r, q = _coefficients([(gx[:, :k], arr[:, :k], lo) for gx, arr, lo, k
+                                             in zip(gxs, arrays, bounds, normed) if k],
+                                            cn, mu, inv, scale, n * h * wd, train, dtype)
         a3 = scale.reshape(-1, 1, 1)
 
         def differentiate(s, slot):
@@ -279,7 +281,7 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
                                     tmp[:g.size].reshape(g.shape))
 
         parallel.run(differentiate, groups)
-        return (*grads, gdot.astype(dtype), gsum.astype(dtype))
+        return (*grads, dgamma, dbeta)
 
     params = () if norm is None else (gamma, beta)
     return _emit((*inputs, w, *params), out, backward_fn, "conv2d")
@@ -330,13 +332,18 @@ def _statistics(parts, c, dtype, running_mean, running_var, mode):
     return mu, var
 
 
-def _gradient_sums(parts, c):
-    """The per-channel sums of g and of g*x, in float64, over (g, x, first
-    channel) triples of NCHW arrays that together hold c channels; each group
-    of channels is one chunk.
+def _coefficients(parts, c, mu, inv, a, m, train, dtype):
+    """Batchnorm's per-channel backward numbers from the output gradient g
+    over (g, x, first channel) triples of NCHW arrays that together hold c
+    channels: dgamma = sum g*xhat and dbeta = sum g, then the (C, 1, 1) r and
+    q of the train-mode input gradient ``a * (g + r*x) + q`` (None in eval
+    mode, where the statistics do not depend on x and the gradient is
+    ``a * g``), all in dtype.  m is the count each channel's statistics are
+    taken over.
 
-    They give ``sum g*xhat = inv * (sum g*x - mu * sum g)`` (Ioffe & Szegedy,
-    arXiv:1502.03167), whose difference cancels when |mu| >> sigma.
+    The sums of g and of g*x are taken in float64, each group of channels one
+    chunk.  They give ``sum g*xhat = inv * (sum g*x - mu * sum g)`` (Ioffe &
+    Szegedy, arXiv:1502.03167), whose difference cancels when |mu| >> sigma.
     """
     gsum, gxsum = np.empty(c), np.empty(c)
     jobs = [(g, x, lo, s) for g, x, lo in parts
@@ -349,21 +356,14 @@ def _gradient_sums(parts, c):
         gxsum[ch] = np.einsum("nchw,nchw->c", g[:, s], x[:, s], dtype=np.float64)
 
     parallel.run(sums, jobs)
-    return gsum, gxsum
-
-
-def _coefficients(gsum, gxsum, mu, inv, a, m, train, dtype):
-    """gdot = sum g*xhat, and the (C, 1, 1) r and q of the train-mode input
-    gradient ``a * (g + r*x) + q`` in dtype (None in eval mode, where the
-    statistics do not depend on x and the gradient is ``a * g``).  m is the
-    count each channel's statistics are taken over."""
     gdot = inv * (gxsum - mu * gsum)
+    params = gdot.astype(dtype), gsum.astype(dtype)
     if not train:
-        return gdot, None, None
+        return (*params, None, None)
     # gx = a * (g - mean g - xhat * mean(g * xhat)) = a * (g + r*x) + q
     r = -inv * gdot / m
     q = -a * (gsum / m + r * mu)
-    return gdot, r.astype(dtype).reshape(-1, 1, 1), q.astype(dtype).reshape(-1, 1, 1)
+    return (*params, r.astype(dtype).reshape(-1, 1, 1), q.astype(dtype).reshape(-1, 1, 1))
 
 
 def _input_gradient(x, g, ch, a, r, q, out, tmp):
@@ -387,9 +387,9 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
     toward them in place, by ``BN_MOMENTUM``.  Eval mode takes them from a
     copy of those arrays and leaves them (``_statistics``, which conv2d's
     prologue shares).  The output is the only x-sized array the forward
-    allocates: x is centred into it, then scaled and shifted in place, per
-    group of images.  Centring first keeps the rounding of the output small
-    when |mu| >> sigma, where ``x * a + (beta - mu * a)`` would not.
+    allocates: x is centred into it, then scaled and shifted in place.
+    Centring first keeps the rounding of the output small when |mu| >>
+    sigma, where ``x * a + (beta - mu * a)`` would not.
 
     The backward closure keeps x, the only x-sized array it holds, and
     per-channel numbers, so the output is freed once its reader is done.
@@ -408,36 +408,23 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
     mu, var = _statistics([(xd, 0)], c, xd.dtype, running_mean, running_var, mode)
     inv = 1.0 / np.sqrt(var + BN_EPS)
     a = gamma.data * inv
-    a3, b3, centre = a.reshape(-1, 1, 1), beta.data.reshape(-1, 1, 1), mu.reshape(-1, 1, 1)
-    images = _images(xd)
-    out = np.empty_like(xd)
-
-    def normalize(s, slot):
-        outs = np.subtract(xd[s], centre, out=out[s])
-        outs *= a3
-        outs += b3
-
-    parallel.run(normalize, images)
+    a3 = a.reshape(-1, 1, 1)
+    out = np.subtract(xd, mu.reshape(-1, 1, 1))
+    out *= a3
+    out += beta.data.reshape(-1, 1, 1)
 
     def backward_fn(gout):
-        gsum, gxsum = _gradient_sums([(gout, xd, 0)], c)
-        gdot, r, q = _coefficients(gsum, gxsum, mu, inv, a, xd.size // c, mode == "train",
-                                   xd.dtype)
+        dgamma, dbeta, r, q = _coefficients([(gout, xd, 0)], c, mu, inv, a, xd.size // c,
+                                            mode == "train", xd.dtype)
         gx = np.empty_like(xd)
-        parallel.run(lambda s, slot: _input_gradient(xd[s], gout[s], slice(None), a3, r, q,
-                                                     gx[s], gx[s]), images)
-        return gx, gdot.astype(xd.dtype), gsum.astype(xd.dtype)
+        _input_gradient(xd, gout, slice(None), a3, r, q, gx, gx)
+        return gx, dgamma, dbeta
 
     return _emit((x, gamma, beta), out, backward_fn, "batchnorm2d")
 
 
 # ---------------------------------------------------------------------------
 # Pointwise and structural ops
-
-def _images(arr):
-    """``parallel.spans`` chunks of arr's leading axis; a 0-d array is one chunk."""
-    return parallel.spans(len(arr), arr[:1].nbytes) if arr.ndim else [...]
-
 
 def relu(x):
     """max(x, 0), with gradient g * [x > 0].
@@ -447,14 +434,11 @@ def relu(x):
     input stays NaN (``np.maximum`` propagates it); its gradient is 0.
     """
     xd = x.data
-    out = np.empty(xd.shape, dtype=xd.dtype)
-    images = _images(xd)
-    parallel.run(lambda s, slot: np.maximum(xd[s], 0, out=out[s]), images)
+    # out= keeps a 0-d input's output and gradient arrays, not numpy scalars
+    out = np.maximum(xd, 0, out=np.empty_like(xd))
 
     def backward_fn(g):
-        gx = np.empty(g.shape, dtype=g.dtype)
-        parallel.run(lambda s, slot: np.multiply(g[s], out[s] > 0, out=gx[s]), images)
-        return (gx,)
+        return (np.multiply(g, out > 0, out=np.empty_like(g)),)
 
     return _emit((x,), out, backward_fn, "relu")
 
@@ -485,7 +469,8 @@ def add(a, b, *rest):
         for t in rest:
             np.add(outs, t.data[s], out=outs)
 
-    parallel.run(add_images, _images(ad))
+    # chunks of whole images; a 0-d array is one chunk
+    parallel.run(add_images, parallel.spans(len(ad), ad[:1].nbytes) if ad.ndim else [...])
     count = len(terms)
     return _emit(terms, out, lambda g: (g,) * count, "add")
 
@@ -526,18 +511,15 @@ def concat_channels(xs):
     xs = list(xs)
     if not xs:
         raise ShapeError("concat_channels: empty input list")
+    if any(t.ndim < 2 for t in xs):
+        raise ShapeError(f"concat_channels needs a channel axis (ndim >= 2), "
+                         f"got {[t.shape for t in xs]}")
     base = xs[0].shape
     for t in xs[1:]:
         if t.ndim != xs[0].ndim or t.shape[0] != base[0] or t.shape[2:] != base[2:]:
             raise ShapeError(f"concat_channels shape mismatch: {[t.shape for t in xs]}")
-    bounds = np.cumsum([0, *(t.shape[1] for t in xs)])
-    out = np.empty((base[0], bounds[-1], *base[2:]), dtype=np.result_type(*(t.data for t in xs)))
-
-    def copy_images(s, slot):
-        for t, start, stop in zip(xs, bounds[:-1], bounds[1:]):
-            out[s, start:stop] = t.data[s]
-
-    parallel.run(copy_images, _images(out))
+    bounds = np.cumsum([0, *(t.shape[1] for t in xs)])   # for the backward's split
+    out = np.concatenate([t.data for t in xs], axis=1)
 
     def backward_fn(gout):
         return tuple(np.split(gout, bounds[1:-1], axis=1))
@@ -570,6 +552,8 @@ def split_channels(x, sizes):
 
 
 def avgpool2d(x, k, stride):
+    if k < 1 or stride < 1:
+        raise ValueError(f"avgpool2d: k and stride must be >= 1, got {k}, {stride}")
     n, c, h, w = x.shape
     if h < k or w < k:
         raise ShapeError(f"avgpool2d: window {k} larger than input {x.shape}")
@@ -668,6 +652,9 @@ def softmax_cross_entropy(logits, labels):
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ShapeError(f"softmax_cross_entropy: {n} rows need {n} labels, got shape {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"softmax_cross_entropy: labels need an integer dtype, "
+                         f"got {labels.dtype}")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"softmax_cross_entropy: labels must lie in [0, {k}), "
                          f"got range [{labels.min()}, {labels.max()}]")

@@ -279,6 +279,13 @@ class TestRelu:
         (gx,) = tape._nodes[-1].backward_fn(g)
         assert np.array_equal(gx, g * (x > 0))
 
+    def test_a_0d_input_gives_0d_arrays(self):
+        with Tape() as tape:
+            out = ops.relu(Tensor(np.asarray(-0.5), dtype="float64"))
+        (gx,) = tape._nodes[-1].backward_fn(np.asarray(2.0))
+        for arr in (out.data, gx):
+            assert isinstance(arr, np.ndarray) and arr.shape == () and arr == 0
+
     def test_nan_propagates_with_zero_gradient(self):
         x = np.array([np.nan, -1.0, 2.0])
         with Tape() as tape:
@@ -605,6 +612,16 @@ class TestStructuralOps:
         with pytest.raises(ShapeError):
             ops.split_channels(Tensor(np.zeros((1, 5, 2, 2))), [2, 2])
 
+    def test_concat_backward_hands_each_input_its_own_channels(self):
+        parts = [Tensor(np.zeros((2, c, 3, 3))) for c in (1, 3, 2)]
+        with Tape() as tape:
+            ops.concat_channels(parts)
+        gout = np.arange(2 * 6 * 3 * 3, dtype=np.float64).reshape(2, 6, 3, 3)
+        grads = tape._nodes[-1].backward_fn(gout)
+        assert [g.shape for g in grads] == [t.shape for t in parts]
+        for g, lo, hi in zip(grads, (0, 1, 4), (1, 4, 6)):
+            assert np.array_equal(g, gout[:, lo:hi])
+
     def test_concat_split_gradients(self):
         rng = np.random.default_rng(9)
         a = Parameter(Tensor(rng.normal(size=(1, 2, 2, 2)), dtype="float64"), "a")
@@ -863,10 +880,18 @@ GUARDS = {
     "concat-spatial-mismatch": (lambda: ops.concat_channels([_zeros(1, 2, 3, 3),
                                                              _zeros(1, 2, 3, 4)]),
                                 ShapeError, "concat_channels shape mismatch"),
+    "concat-no-channel-axis": (lambda: ops.concat_channels([_zeros(3), _zeros(2)]),
+                               ShapeError, r"needs a channel axis \(ndim >= 2\)"),
+    "concat-0d": (lambda: ops.concat_channels([Tensor(np.asarray(1.0))]),
+                  ShapeError, r"needs a channel axis \(ndim >= 2\)"),
     "split-non-positive-size": (lambda: ops.split_channels(_zeros(1, 3, 2, 2), [4, -1]),
                                 ShapeError, "sizes must be positive"),
     "avgpool-window-larger-than-input": (lambda: ops.avgpool2d(_zeros(1, 1, 2, 2), 3, 1),
                                          ShapeError, "window 3 larger than input"),
+    "avgpool-window-0": (lambda: ops.avgpool2d(_zeros(1, 1, 4, 4), 0, 1),
+                         ValueError, "k and stride must be >= 1, got 0, 1"),
+    "avgpool-stride-0": (lambda: ops.avgpool2d(_zeros(1, 1, 4, 4), 2, 0),
+                         ValueError, "k and stride must be >= 1, got 2, 0"),
     "fully-connected-bias-shape": (lambda: ops.fully_connected(_zeros(2, 3), _zeros(3, 4),
                                                                _zeros(3)),
                                    ShapeError, r"bias \(3,\) must be \(4,\)"),
@@ -895,6 +920,8 @@ GUARDS = {
                               ShapeError, r"expects \(N, K\) logits"),
     "softmax-label-count": (lambda: ops.softmax_cross_entropy(_zeros(2, 3), [0]),
                             ShapeError, "2 rows need 2 labels"),
+    "softmax-float-labels": (lambda: ops.softmax_cross_entropy(_zeros(2, 3), [0.0, 1.0]),
+                             ValueError, "labels need an integer dtype, got float64"),
 }
 
 

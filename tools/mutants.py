@@ -95,6 +95,11 @@ MUTANTS = [
            "cn, dtype, running_mean.copy(), running_var.copy(), mode)",
            FUSED_TESTS[:1]),
     # pointwise backward
+    Mutant("relu-mask-includes-zero", OPS,
+           "np.multiply(g, out > 0,",
+           "np.multiply(g, out >= 0,",
+           ("tests/test_ops.py::TestRelu::test_gradient_is_g_where_input_positive",
+            "tests/test_autodiff.py::test_pointwise_gradients")),
     Mutant("sigmoid-backward-scaled", OPS,
            "lambda g: (g * s * (1 - s),)",
            "lambda g: (1.1 * g * s * (1 - s),)",
@@ -132,17 +137,33 @@ MUTANTS = [
            "        gxsum[ch] = np.einsum(\"nchw,nchw->c\", g[:, s], x[:, s])",
            ("tests/test_ops.py::TestBatchNorm::"
             "test_float32_gradients_match_a_float64_oracle_far_from_zero_mean",)),
+    Mutant("batchnorm-dgamma-dbeta-swapped", OPS,
+           "params = gdot.astype(dtype), gsum.astype(dtype)",
+           "params = gsum.astype(dtype), gdot.astype(dtype)",
+           ("tests/test_ops.py::TestBatchNorm::test_train_mode_gradients",
+            "tests/test_ops.py::TestFusedConv::test_gradients_match_finite_differences")),
     Mutant("batchnorm-train-gradient-drops-q", OPS,
            "    gx += q[ch]\n",
            "",
            ("tests/test_ops.py::TestBatchNorm::test_train_mode_gradients",
             "tests/test_ops.py::TestBatchNorm::"
             "test_float32_gradients_match_a_float64_oracle_far_from_zero_mean")),
-    # the summation op
+    # the summation op, concat and pooling
     Mutant("add-dtype-from-first-two-terms", OPS,
            "dtype=np.result_type(*(t.data for t in terms)))",
            "dtype=np.result_type(ad, bd))",
            ("tests/test_ops.py::TestStructuralOps::test_add_takes_its_dtype_from_every_term",)),
+    Mutant("concat-backward-split-shifted", OPS,
+           "np.split(gout, bounds[1:-1], axis=1)",
+           "np.split(gout, bounds[1:-1] + 1, axis=1)",
+           ("tests/test_ops.py::TestStructuralOps::"
+            "test_concat_backward_hands_each_input_its_own_channels",
+            "tests/test_ops.py::TestStructuralOps::test_concat_split_gradients")),
+    Mutant("avgpool-guard-dropped", OPS,
+           "if k < 1 or stride < 1:",
+           "if False:",
+           # killed by its avgpool-window-0 and avgpool-stride-0 cases
+           ("tests/test_ops.py::test_op_guard_rejects_bad_input_with_its_message",)),
     # softmax and the reported metrics
     Mutant("softmax-adds-row-max", OPS,
            "z = logits.data - logits.data.max(axis=1, keepdims=True)",
