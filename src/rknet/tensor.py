@@ -182,6 +182,7 @@ def backward(tape, loss):
             # never accumulate in place: a backward_fn may hand the same array
             # to several inputs (e.g. add), so stored grads must stay frozen
             grads[serial] = g if acc is None else acc + g
+        gins = acc = g = None   # dead once summed; freed before the next node's backward_fn
 
     for serial, param in tape._param_tensors.items():
         g = grads.get(serial)

@@ -99,6 +99,31 @@ def test_backward_releases_the_tape_as_it_runs():
     assert after_backward < after_forward / 10, (after_forward, after_backward)
 
 
+def test_backward_frees_each_readers_gradient_once_it_is_summed():
+    # y has two readers; when y's producer runs, only the sum of their
+    # gradients may be alive, not the two arrays it was summed from
+    per_reader, freed = [], []
+
+    def reader_backward(g):
+        gin = g * np.ones(3)   # a fresh array per reader
+        per_reader.append(weakref.ref(gin))
+        return (gin,)
+
+    def producer_backward(g):
+        freed.append([ref() is None for ref in per_reader])
+        return (None,)
+
+    x = Tensor(np.ones(3), dtype="float64")
+    with Tape() as tape:
+        y, a, b = (Tensor(np.ones(3), dtype="float64") for _ in range(3))
+        tape.record((x,), y, producer_backward)
+        tape.record((y,), a, reader_backward)
+        tape.record((y,), b, reader_backward)
+        loss = ops.sum_all(ops.add(a, b))
+    backward(tape, loss)
+    assert freed == [[True, True]]
+
+
 def captured(fn):
     """What a backward closure holds: its cells' contents, tuples and lists
     opened, and what the functions among them hold in turn."""

@@ -1,17 +1,25 @@
 """Optimizer, schedule, and epoch-loop behavior."""
 
 import dataclasses
+import importlib.util
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rknet import model_spec as ms
-from rknet import network, ops
+from rknet import network, ops, parallel
 from rknet import train as T
 from rknet.data import gen_synthetic_shapes, DatasetHandle
 from rknet.rng import make_rng
 from rknet.tensor import Parameter, Tape, Tensor, backward
+
+_spec = importlib.util.spec_from_file_location(
+    "fingerprint", Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py")
+fingerprint = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(fingerprint)
 
 TINY_MODEL = {"name": "ERKNet-2x1", "k": 6, "input_shape": [3, 16, 16], "num_classes": 4}
 
@@ -266,6 +274,92 @@ class TestEvaluate:
         model.dropout_p = 0.9
         data = tiny_data(4, split="test")
         assert T.evaluate(model, data) == T.evaluate(model, data)
+
+    @pytest.mark.parametrize("batch_size", [-5, 0])
+    def test_rejects_a_batch_size_below_one(self, batch_size):
+        with pytest.raises(ValueError, match="at least 1"):
+            T.evaluate(tiny_model(), tiny_data(1, split="test"), batch_size=batch_size)
+
+    def test_rejects_an_empty_split(self):
+        full = tiny_data(1, split="test")
+        empty = DatasetHandle(full.images[:0], full.labels[:0], "test", full.num_classes)
+        with pytest.raises(ValueError, match="no images"):
+            T.evaluate(tiny_model(), empty)
+
+
+def forward_sizes(monkeypatch):
+    """The batch sizes of every network.forward call from here on."""
+    sizes, forward = [], network.forward
+
+    def spy(model, x, *args, **kwargs):
+        sizes.append(len(x))
+        return forward(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(network, "forward", spy)
+    return sizes
+
+
+class TestEvalSlices:
+    """evaluate runs each batch's forward over slices of whole images."""
+
+    @pytest.mark.parametrize("name,dtype", fingerprint.CASES)
+    def test_sliced_logits_and_metrics_equal_whole_batch_forwards_bitwise(
+            self, monkeypatch, name, dtype):
+        # EVAL_BYTES 1 leaves the floor of three images' state per slice: the
+        # 7-image batch runs as 2 + 2 + 3, where slices of 3 would leave one image
+        monkeypatch.setattr(T, "EVAL_BYTES", 1)
+        spec = ms.spec_from_config(fingerprint.MODELS[name])
+        model = network.build_model(spec, seed=0, dtype=dtype)
+        x = make_rng(0, "eval-slices").normal(size=(10, *spec.input_shape)).astype(dtype)
+        labels = np.arange(10) % spec.num_classes
+        data = DatasetHandle(x, labels, "test", spec.num_classes)
+        batches = (slice(0, 7), slice(7, 10))
+        whole = [network.forward(model, x[s], mode="eval")[0] for s in batches]
+        loss = sum(float(ops.softmax_cross_entropy(lg, labels[s]).data) * len(lg.data)
+                   for lg, s in zip(whole, batches))
+        correct = sum(int((lg.data.argmax(axis=1) == labels[s]).sum())
+                      for lg, s in zip(whole, batches))
+        sizes = forward_sizes(monkeypatch)
+        logits = T.eval_logits(model, x[:7])
+        assert sizes == [2, 2, 3]
+        assert logits.data.dtype == whole[0].data.dtype
+        assert np.array_equal(logits.data, whole[0].data)
+        assert T.evaluate(model, data, batch_size=7) == (loss / 10, correct / 10)
+        assert sizes[3:] == [2, 2, 3, 3]
+
+    def test_a_paper_batch_of_256_runs_as_two_slices_of_128(self, monkeypatch):
+        # 48 KiB of period-0 state per image; only the cut is read, so the forward is a stub
+        sizes = []
+
+        def stub(model, x, mode):
+            sizes.append(len(x))
+            return Tensor(np.zeros((len(x), 4), np.float32)), []
+
+        monkeypatch.setattr(network, "forward", stub)
+        model = network.build_model(ms.spec_from_config(fingerprint.MODELS["paper_erknet"]))
+        T.eval_logits(model, np.zeros((256, 3, 32, 32), np.float32))
+        assert sizes == [128, 128]
+
+    def test_peak_stays_well_below_one_whole_batch_forward(self, monkeypatch):
+        # 64 images in slices of 8; the conv pool limited to two participants
+        pool = parallel._pool()
+        monkeypatch.setattr(pool, "workers", min(pool.workers, 1))
+        model = tiny_model()
+        data = tiny_data(16, split="test")
+        monkeypatch.setattr(T, "EVAL_BYTES", 8 * model.spec.periods[0].channels * 16 * 16 * 4)
+        T.evaluate(model, data)   # warm-up, so neither run pays first-call allocations
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            network.forward(model, data.images, mode="eval")
+            whole = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            T.evaluate(model, data, batch_size=len(data))
+            sliced = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert sliced < whole / 2, (sliced, whole)
 
 
 class TestMetricsCsv:

@@ -180,6 +180,16 @@ MUTANTS = [
            "total_loss += float(loss.data) / len(labels)",
            ("tests/test_train.py::TestReportedMetrics::"
             "test_evaluate_equals_one_eval_forward_over_all_images",)),
+    Mutant("evaluate-forward-whole-batch", TRAIN,
+           "slices = parallel.spans(len(x), unit, max(EVAL_BYTES, 3 * unit))",
+           "slices = [slice(0, len(x))]",
+           ("tests/test_train.py::TestEvalSlices::"
+            "test_peak_stays_well_below_one_whole_batch_forward",)),
+    Mutant("evaluate-slices-of-one-image", TRAIN,
+           "max(EVAL_BYTES, 3 * unit)",
+           "EVAL_BYTES",
+           ("tests/test_train.py::TestEvalSlices::"
+            "test_sliced_logits_and_metrics_equal_whole_batch_forwards_bitwise",)),
     Mutant("train-keeps-the-callers-gradients", TRAIN,
            "            model.zero_grad()   # gradients a caller left in the model are not this step's\n",
            "",
@@ -209,6 +219,10 @@ MUTANTS = [
            "self._output = lambda: output",
            ("tests/test_autodiff.py::"
             "test_an_intermediate_no_closure_reads_is_freed_during_the_forward",)),
+    Mutant("backward-keeps-dead-gradients", "src/rknet/tensor.py",
+           "        gins = acc = g = None   # dead once summed; freed before the next node's backward_fn\n",
+           "",
+           ("tests/test_autodiff.py::test_backward_frees_each_readers_gradient_once_it_is_summed",)),
     Mutant("grads-keyed-by-id", "src/rknet/tensor.py",
            "self.serial = next(_SERIALS)",
            "self.serial = id(self)",
