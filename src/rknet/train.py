@@ -13,10 +13,10 @@ from .data import augment_cifar
 from .model_spec import (ConfigError, as_count, as_flag, as_integer, as_number, as_tuple,
                          read_fields)
 from .rng import make_rng
-from .tensor import NonFiniteError, Tape, Tensor, backward, set_debug
+from .tensor import NonFiniteError, Tape, backward, set_debug
 
 
-EVAL_BYTES = 8 << 20   # period-0 state of one slice of an eval forward (``eval_logits``)
+EVAL_BYTES = 8 << 20   # period-0 state of one slice of an ``evaluate`` forward
 
 
 class TrainingDivergedError(RuntimeError):
@@ -124,6 +124,9 @@ def train_epochs(model, train_data, test_data, config, on_epoch_end=None):
     (seed, purpose, epoch, index), so reruns with the same seed are
     bit-identical regardless of batching or prefetch order.
     """
+    for name, split in (("train", train_data), ("test", test_data)):
+        if not len(split):
+            raise ValueError(f"train_epochs: the {name} split holds no images")
     velocity = {}
     params = model.parameters()
     history = []
@@ -164,38 +167,26 @@ def train_epochs(model, train_data, test_data, config, on_epoch_end=None):
     return history
 
 
-def eval_logits(model, x):
-    """Eval-mode logits of the batch ``x``, equal bitwise to one ``network.forward``.
-
-    The forward runs over consecutive slices of whole images, each holding
-    about ``EVAL_BYTES`` of period-0 state, so its features never grow with
-    the batch: in eval mode batchnorm reads its running statistics, and no
-    image's logits depend on another's.  A slice holds at least three images'
-    worth, so no slice is one image unless ``x`` is: a one-row
-    ``fully_connected`` rounds differently from the same row of a larger GEMM.
-    """
-    spec = model.spec
-    unit = (spec.periods[0].channels * math.prod(spec.input_shape[1:])
-            * np.dtype(model.dtype).itemsize)   # one image's period-0 state
-    slices = parallel.spans(len(x), unit, max(EVAL_BYTES, 3 * unit))
-    return Tensor(np.concatenate([network.forward(model, x[s], mode="eval")[0].data
-                                  for s in slices]))
-
-
 def evaluate(model, data, batch_size=256):
     """Mean loss and accuracy in eval mode (no augmentation, no dropout); checked finite.
 
-    ``batch_size`` sets the batches whose mean losses are weighted by their
-    sizes; ``eval_logits`` runs each batch's forward in slices of whole images.
+    The forward runs over consecutive slices of whole images, at most
+    ``batch_size`` images and about ``EVAL_BYTES`` of period-0 state each, and
+    each slice's mean loss is weighted by its size.  In eval mode no image's
+    logits depend on another's, but a GEMM may round a row by the rows around
+    it, so the loss and float64 logits can move in the last bits with the cut.
     """
     batch_size = as_count(batch_size)
     if not len(data):
         raise ValueError("evaluate: the split holds no images")
+    spec = model.spec
+    unit = (spec.periods[0].channels * math.prod(spec.input_shape[1:])
+            * np.dtype(model.dtype).itemsize)   # one image's period-0 state
     total_loss, total_correct = 0.0, 0
-    for start in range(0, len(data), batch_size):
-        x = data.images[start:start + batch_size]
-        labels = data.labels[start:start + batch_size]
-        logits = eval_logits(model, x)
+    for s in parallel.spans(len(data), unit, min(EVAL_BYTES, batch_size * unit)):
+        # [0] drops the slice's period states before the next slice's forward runs
+        logits = network.forward(model, data.images[s], mode="eval")[0]
+        labels = data.labels[s]
         loss = ops.softmax_cross_entropy(logits, labels)
         total_loss += float(loss.data) * len(labels)
         total_correct += int((logits.data.argmax(axis=1) == labels).sum())

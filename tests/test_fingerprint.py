@@ -34,3 +34,14 @@ def test_a_case_covers_both_passes_and_the_buffers():
     assert any(label.startswith("buffer.") for label in labels)
     assert all(arr.dtype == np.float64 for _, arr in values)
     assert names[-1] == "softmax_cross_entropy"
+
+
+def test_the_eval_digest_is_stable_and_moves_when_one_weight_bit_flips():
+    digests = []
+    for flip in (False, False, True):
+        model, x, labels = fingerprint.case_model("irk_s3", "float32")
+        if flip:   # the sign bit of the first classifier weight
+            w = model.store.params["classifier.w"].value.data
+            w.reshape(-1)[:1].view(np.uint8)[-1] ^= 0x80
+        digests.append(fingerprint.digest(fingerprint.eval_values(model, x, labels)))
+    assert digests[0] == digests[1] != digests[2]

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,25 @@ class TestTrainEpochs:
             files.append([(tmp_path / name).read_bytes() for name in ("m.csv", "model.ckpt")])
         assert files[0] == files[1]
 
+    def test_an_empty_train_split_is_rejected_before_anything_runs(self, monkeypatch):
+        full = tiny_data(1)
+        empty = DatasetHandle(full.images[:0], full.labels[:0], "train", full.num_classes)
+        sizes = forward_sizes(monkeypatch)
+        with pytest.raises(ValueError, match="the train split holds no images"):
+            T.train_epochs(tiny_model(), empty, tiny_data(1, split="test"),
+                           T.TrainConfig(epochs=1, batch_size=2))
+        assert sizes == []
+
+    def test_an_empty_test_split_is_rejected_before_the_first_step(self):
+        model = tiny_model(seed=4)
+        before = {p.name: p.value.data.copy() for p in model.parameters()}
+        full = tiny_data(1, split="test")
+        empty = DatasetHandle(full.images[:0], full.labels[:0], "test", full.num_classes)
+        with pytest.raises(ValueError, match="the test split holds no images"):
+            T.train_epochs(model, tiny_data(1), empty, T.TrainConfig(epochs=1, batch_size=2))
+        for p in model.parameters():
+            assert np.array_equal(p.value.data, before[p.name]), p.name
+
     def test_epoch_counter_advances(self):
         model = tiny_model(seed=3)
         cfg = T.TrainConfig(epochs=2, batch_size=32, seed=0)
@@ -229,7 +249,8 @@ class TestReportedMetrics:
     """The losses and accuracies a run reports are means over its images."""
 
     def test_evaluate_equals_one_eval_forward_over_all_images(self):
-        # 10 images in batches of 4, 4 and 2: each batch mean is weighted by its size
+        # 10 images at batch_size 4 run as slices of 3, 3 and 4: each slice mean is
+        # weighted by its size
         model = network.build_model(ms.spec_from_config(TINY_MODEL), seed=4, dtype="float64")
         full = tiny_data(3, split="test")
         data = DatasetHandle(full.images[:10], full.labels[:10], "test", full.num_classes)
@@ -299,46 +320,69 @@ def forward_sizes(monkeypatch):
     return sizes
 
 
+def paper_eval_sizes(monkeypatch, n):
+    """The forward sizes of evaluate over n paper-model images at the default batch_size.
+
+    48 KiB of period-0 state per image; only the cut is read, so the forward is a stub."""
+    sizes = []
+
+    def stub(model, x, mode):
+        sizes.append(len(x))
+        return Tensor(np.zeros((len(x), 4), np.float32)), []
+
+    monkeypatch.setattr(network, "forward", stub)
+    model = network.build_model(ms.spec_from_config(fingerprint.MODELS["paper_erknet"]))
+    T.evaluate(model, DatasetHandle(np.zeros((n, 3, 32, 32), np.float32),
+                                    np.zeros(n, np.int64), "test", 4))
+    return sizes
+
+
 class TestEvalSlices:
-    """evaluate runs each batch's forward over slices of whole images."""
+    """evaluate runs one forward per slice of whole images and weights each slice's loss."""
 
     @pytest.mark.parametrize("name,dtype", fingerprint.CASES)
-    def test_sliced_logits_and_metrics_equal_whole_batch_forwards_bitwise(
+    def test_metrics_are_the_size_weighted_sums_over_slices_of_3_3_and_4_bitwise(
             self, monkeypatch, name, dtype):
-        # EVAL_BYTES 1 leaves the floor of three images' state per slice: the
-        # 7-image batch runs as 2 + 2 + 3, where slices of 3 would leave one image
-        monkeypatch.setattr(T, "EVAL_BYTES", 1)
+        # 10 images at batch_size 4: three slices of at most 4, none of one image
         spec = ms.spec_from_config(fingerprint.MODELS[name])
         model = network.build_model(spec, seed=0, dtype=dtype)
         x = make_rng(0, "eval-slices").normal(size=(10, *spec.input_shape)).astype(dtype)
         labels = np.arange(10) % spec.num_classes
         data = DatasetHandle(x, labels, "test", spec.num_classes)
-        batches = (slice(0, 7), slice(7, 10))
-        whole = [network.forward(model, x[s], mode="eval")[0] for s in batches]
+        slices = (slice(0, 3), slice(3, 6), slice(6, 10))
+        parts = [network.forward(model, x[s], mode="eval")[0] for s in slices]
         loss = sum(float(ops.softmax_cross_entropy(lg, labels[s]).data) * len(lg.data)
-                   for lg, s in zip(whole, batches))
+                   for lg, s in zip(parts, slices))
         correct = sum(int((lg.data.argmax(axis=1) == labels[s]).sum())
-                      for lg, s in zip(whole, batches))
+                      for lg, s in zip(parts, slices))
+        whole, _ = network.forward(model, x, mode="eval")
+        assert parts[0].data.dtype == whole.data.dtype
+        assert np.array_equal(np.concatenate([lg.data for lg in parts]), whole.data)
         sizes = forward_sizes(monkeypatch)
-        logits = T.eval_logits(model, x[:7])
-        assert sizes == [2, 2, 3]
-        assert logits.data.dtype == whole[0].data.dtype
-        assert np.array_equal(logits.data, whole[0].data)
-        assert T.evaluate(model, data, batch_size=7) == (loss / 10, correct / 10)
-        assert sizes[3:] == [2, 2, 3, 3]
+        assert T.evaluate(model, data, batch_size=4) == (loss / 10, correct / 10)
+        assert sizes == [3, 3, 4]
 
     def test_a_paper_batch_of_256_runs_as_two_slices_of_128(self, monkeypatch):
-        # 48 KiB of period-0 state per image; only the cut is read, so the forward is a stub
-        sizes = []
+        assert paper_eval_sizes(monkeypatch, 256) == [128, 128]
 
-        def stub(model, x, mode):
-            sizes.append(len(x))
-            return Tensor(np.zeros((len(x), 4), np.float32)), []
+    def test_a_paper_split_of_257_leaves_no_image_alone(self, monkeypatch):
+        # the default batch_size is 256, but the slices span the whole split
+        assert paper_eval_sizes(monkeypatch, 257) == [128, 129]
 
-        monkeypatch.setattr(network, "forward", stub)
-        model = network.build_model(ms.spec_from_config(fingerprint.MODELS["paper_erknet"]))
-        T.eval_logits(model, np.zeros((256, 3, 32, 32), np.float32))
-        assert sizes == [128, 128]
+    def test_a_slices_states_are_freed_before_the_next_slice_runs(self, monkeypatch):
+        # a slice's period states are as large as its features, so holding them
+        # through the next slice's forward would add them to eval's peak
+        forward, refs, alive = network.forward, [], []
+
+        def spy(model, x, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            logits, states = forward(model, x, *args, **kwargs)
+            refs[:] = [weakref.ref(state) for state in states]
+            return logits, states
+
+        monkeypatch.setattr(network, "forward", spy)
+        T.evaluate(tiny_model(), tiny_data(3, split="test"), batch_size=4)
+        assert refs and alive == [0, 0, 0]
 
     def test_peak_stays_well_below_one_whole_batch_forward(self, monkeypatch):
         # 64 images in slices of 8; the conv pool limited to two participants

@@ -2,13 +2,16 @@
 
 For each case the script builds the model (seed 0) and runs one train-mode
 pass (dropout 0.2) and one eval-mode pass, each forward and backward, on a
-fixed batch.  It prints two SHA-256 digests per case:
+fixed batch.  It prints three SHA-256 digests per case:
 
 - ``values``: the train logits, every parameter gradient, the batchnorm running
   buffers, and the eval logits and every gradient of the eval pass;
-- ``structure``: the op sequence of the train-mode tape and its node count.
+- ``structure``: the op sequence of the train-mode tape and its node count;
+- ``eval``: ``train.evaluate``'s loss and accuracy on the freshly built model's
+  batch at ``batch_size`` 2, so over two slices.
 
-A change that claims to be bitwise identical keeps every ``values`` digest.
+A change that claims to be bitwise identical keeps every digest; one that
+only changes how ``evaluate`` cuts or sums keeps ``values`` and ``structure``.
 Compare two trees by running the script against each one's ``src``:
 
     PYTHONPATH=<parent tree>/src python tools/fingerprint.py > before.txt
@@ -23,7 +26,8 @@ import sys
 
 import numpy as np
 
-from rknet import model_spec, network, ops
+from rknet import model_spec, network, ops, train
+from rknet.data import DatasetHandle
 from rknet.rng import make_rng
 from rknet.tensor import Tape, backward
 
@@ -61,13 +65,18 @@ def _pass(model, x, labels, mode, rng):
     return logits.data, names
 
 
-def case_arrays(name, dtype):
-    """The (label, array) pairs the values digest covers, and the train tape's op names."""
+def case_model(name, dtype):
+    """The case's model, freshly built at seed 0, its fixed batch and the batch's labels."""
     spec = model_spec.spec_from_config(MODELS[name])
     model = network.build_model(spec, seed=0, dtype=dtype)
-    model.dropout_p = 0.2
     x = make_rng(0, "fingerprint", "x").normal(size=(BATCH, *spec.input_shape))
-    labels = np.arange(BATCH) % spec.num_classes
+    return model, x, np.arange(BATCH) % spec.num_classes
+
+
+def case_arrays(name, dtype):
+    """The (label, array) pairs the values digest covers, and the train tape's op names."""
+    model, x, labels = case_model(name, dtype)
+    model.dropout_p = 0.2
     values = []
     for mode in ("train", "eval"):
         logits, names = _pass(model, x, labels, mode, make_rng(0, "fingerprint", "dropout"))
@@ -78,6 +87,13 @@ def case_arrays(name, dtype):
             structure = names
             values += [(f"buffer.{key}", buf.copy()) for key, buf in model.store.buffers.items()]
     return values, structure
+
+
+def eval_values(model, x, labels):
+    """The (label, array) pair the eval digest covers: evaluate's loss and accuracy
+    on the batch at batch_size 2."""
+    data = DatasetHandle(x, labels, "test", model.spec.num_classes)
+    return [("evaluate", np.array(train.evaluate(model, data, batch_size=2)))]
 
 
 def digest(values):
@@ -97,9 +113,10 @@ def structure_digest(names):
 def main():
     for name, dtype in CASES:
         values, names = case_arrays(name, dtype)
+        evaluated = eval_values(*case_model(name, dtype))
         print(f"{name:<27} {dtype}  values {digest(values)[:16]}  "
               f"structure {structure_digest(names)[:16]}  nodes {len(names)}  "
-              f"add {names.count('add')}")
+              f"add {names.count('add')}  eval {digest(evaluated)[:16]}")
     return 0
 
 

@@ -181,15 +181,27 @@ MUTANTS = [
            ("tests/test_train.py::TestReportedMetrics::"
             "test_evaluate_equals_one_eval_forward_over_all_images",)),
     Mutant("evaluate-forward-whole-batch", TRAIN,
-           "slices = parallel.spans(len(x), unit, max(EVAL_BYTES, 3 * unit))",
-           "slices = [slice(0, len(x))]",
+           "for s in parallel.spans(len(data), unit, min(EVAL_BYTES, batch_size * unit)):",
+           "for s in [slice(0, len(data))]:",
            ("tests/test_train.py::TestEvalSlices::"
             "test_peak_stays_well_below_one_whole_batch_forward",)),
-    Mutant("evaluate-slices-of-one-image", TRAIN,
-           "max(EVAL_BYTES, 3 * unit)",
+    Mutant("evaluate-holds-a-slices-states", TRAIN,
+           'logits = network.forward(model, data.images[s], mode="eval")[0]',
+           'logits, _ = network.forward(model, data.images[s], mode="eval")',
+           ("tests/test_train.py::TestEvalSlices::"
+            "test_a_slices_states_are_freed_before_the_next_slice_runs",)),
+    Mutant("evaluate-slices-ignore-batch-size", TRAIN,
+           "min(EVAL_BYTES, batch_size * unit)",
            "EVAL_BYTES",
            ("tests/test_train.py::TestEvalSlices::"
-            "test_sliced_logits_and_metrics_equal_whole_batch_forwards_bitwise",)),
+            "test_metrics_are_the_size_weighted_sums_over_slices_of_3_3_and_4_bitwise",)),
+    Mutant("train-accepts-an-empty-split", TRAIN,
+           "if not len(split):",
+           "if False:",
+           ("tests/test_train.py::TestTrainEpochs::"
+            "test_an_empty_train_split_is_rejected_before_anything_runs",
+            "tests/test_train.py::TestTrainEpochs::"
+            "test_an_empty_test_split_is_rejected_before_the_first_step")),
     Mutant("train-keeps-the-callers-gradients", TRAIN,
            "            model.zero_grad()   # gradients a caller left in the model are not this step's\n",
            "",
