@@ -10,17 +10,17 @@ is a list of tensors, never a concat: the feature list itself.  Two helpers
 own the rule.  ``_growth_units`` builds a run of units whose input widens by
 k, and ``_dense_growth`` runs groups of them, each group under its own
 scope, and owns the feature list.  erk's groups are its stages, irk's are
-its Stage-I initializers, time-channel's are its units (which also see the
-time plane).  irk Stage-II is the one read that is not a prefix of that
-list; it hands each updater a list of its own.  Every BN -> ReLU -> conv ->
-dropout sequence, in growth units, both bottleneck halves and transitions,
-is one pre-activation unit (``_preact_conv``; He et al., arXiv:1603.05027),
-the increment a residual step reads as forward Euler, and one
-``ops.conv2d`` call plus dropout; a growth unit is a list of such layers
-run in one loop.  With
-``linear_test_mode`` every growth unit is one layer without a BatchNorm, a
-single bias-free 1x1 convolution, so the whole step becomes an affine map
-that can be compared against a classical integrator.
+its Stage-I initializers, time-channel's are its units (whose lists end
+with the raw time plane).  irk Stage-II is the one read that is not a
+prefix of that list; it hands each updater a list of its own.  Every BN ->
+ReLU -> conv -> dropout sequence, in growth units, both bottleneck halves
+and transitions, is one pre-activation unit (``_preact_conv``; He et al.,
+arXiv:1603.05027), the increment a residual step reads as forward Euler,
+and one ``ops.conv2d`` call, which normalizes the list's leading tensors
+whole, plus dropout; a growth unit is a list of such layers run in one
+loop.  With ``linear_test_mode`` every growth unit is one layer without a
+BatchNorm, a single bias-free 1x1 convolution, so the whole step becomes an
+affine map that can be compared against a classical integrator.
 """
 
 from dataclasses import dataclass
@@ -96,17 +96,16 @@ class BatchNorm:
         return ops.batchnorm2d(x, *self.norm(mode))
 
 
-def _preact_conv(bn, w, xs, time, mode, dropout_p, rng):
-    """One pre-activation unit: BN -> ReLU -> (time plane appended) -> stride-1 conv -> dropout.
+def _preact_conv(bn, w, xs, mode, dropout_p, rng):
+    """One pre-activation unit: BN -> ReLU -> stride-1 conv -> dropout.
 
     The unit reads the channel concatenation of the tensors in ``xs``, which
     is never built: the first three steps are one ``ops.conv2d`` call, which
-    normalizes every channel of ``xs`` and passes the time plane, last, raw.
-    Without a BatchNorm (``bn is None``, linear test mode) the input goes
-    straight to the conv, so the unit is linear in it.
+    normalizes the leading tensors that ``bn`` covers and passes a trailing
+    time plane raw.  Without a BatchNorm (``bn is None``, linear test mode)
+    the input goes straight to the conv, so the unit is linear in it.
     """
-    inputs = xs if time is None else [*xs, time]
-    h = ops.conv2d(inputs[0], w.value, stride=1, pad=w.value.shape[-1] // 2, rest=inputs[1:],
+    h = ops.conv2d(xs[0], w.value, stride=1, pad=w.value.shape[-1] // 2, rest=xs[1:],
                    norm=None if bn is None else bn.norm(mode))
     return ops.dropout(h, dropout_p, mode, rng)
 
@@ -119,9 +118,10 @@ class GrowthUnit:
     bottleneck, a 1x1 conv to ``subnet.bottleneck_width`` channels comes
     first (two pre-activation units); in linear test mode the unit is one
     bias-free 1x1 conv with no BatchNorm.  The first layer reads the unit's
-    input, a list of feature tensors; a raw time plane, when given, joins
-    its conv input after BN/ReLU, so normalization never touches it.
-    Dropout follows each convolution.
+    input, a list of feature tensors; a time-channel unit's list ends with
+    the time plane, which its BatchNorm does not cover, so it joins the conv
+    input raw.  Each later layer reads only the one before it.  Dropout
+    follows each convolution.
     """
 
     def __init__(self, store, prefix, in_ch, k, subnet=None, time_plane=False, rng=None):
@@ -143,11 +143,10 @@ class GrowthUnit:
             self.w = store.add_param(f"{prefix}.conv.w", he_normal(rng, (k, conv_in, 3, 3)))
             self.layers = [(self.bn, self.w)]
 
-    def forward(self, xs, time=None, mode="train", dropout_p=0.0, rng=None):
+    def forward(self, xs, mode="train", dropout_p=0.0, rng=None):
         """The unit's output for the channel concatenation of the tensors in xs."""
-        # only the first layer reads the feature list and the time plane
         for bn, w in self.layers:
-            xs, time = [_preact_conv(bn, w, xs, time, mode, dropout_p, rng)], None
+            xs = [_preact_conv(bn, w, xs, mode, dropout_p, rng)]
         return xs[0]
 
 
@@ -166,7 +165,8 @@ def _growth_units(store, names, in_ch, k, subnet, rng, time_plane=False):
 
 def _dense_growth(y, groups, label, time=None, mode="train", dropout_p=0.0, rng=None):
     """The dense-growth rule: each unit reads concat(y, every earlier output),
-    handed to it as the feature list itself.
+    handed to it as the feature list itself, with the time plane ``time``, if
+    given, as the list's last entry.
 
     Group i of units runs under ``op_scope(f"{label}{i}")``; returns the
     concat of each group's outputs, in order.
@@ -177,7 +177,8 @@ def _dense_growth(y, groups, label, time=None, mode="train", dropout_p=0.0, rng=
         with op_scope(f"{label}{i}"):
             start = len(feats)
             for u in units:
-                feats.append(u.forward(feats, time=time, mode=mode, dropout_p=dropout_p, rng=rng))
+                xs = feats if time is None else [*feats, time]
+                feats.append(u.forward(xs, mode=mode, dropout_p=dropout_p, rng=rng))
             outs.append(_concat(feats[start:]))
     return outs
 
@@ -299,7 +300,7 @@ class TransitionLayer:
     def forward(self, y, mode="train", dropout_p=0.0, rng=None):
         if y.shape[2] % 2 or y.shape[3] % 2:
             raise ShapeError(f"transition needs even spatial dims to halve, got {y.shape}")
-        h = _preact_conv(self.bn, self.w, [y], None, mode, dropout_p, rng)
+        h = _preact_conv(self.bn, self.w, [y], mode, dropout_p, rng)
         if self.gate is not None:
             h = self.gate.forward(h)
         return ops.avgpool2d(h, 2, 2)

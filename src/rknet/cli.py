@@ -312,7 +312,7 @@ def main(argv=None):
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError, MemoryError) as exc:   # MemoryError: too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,11 +5,12 @@ of every stacked kernel tap against a cache-sized, padded channel-major copy
 of the group's input, then a shift-add of the partial products (see
 ``conv2d``), so neither pass builds a batch-sized intermediate.  The naive
 sliding-window version lives in the test suite as an independent oracle.
-conv2d is also the whole BN -> ReLU -> (time plane) -> conv chain of the
-pre-activation unit (``blocks._preact_conv``): it reads the unit's feature
-tensors as they are, with no concat, normalizes them as batchnorm2d does and
-writes relu of that straight into its padded group buffer, so a growth unit
-makes no concat, batchnorm or relu output.  Its backward closure keeps the
+conv2d is also the whole BN -> ReLU -> conv chain of the pre-activation
+unit (``blocks._preact_conv``): it reads the unit's list of whole tensors as
+they are, with no concat, normalizes the leading ones as batchnorm2d does
+(``_normalize``, which both share) and writes relu of that straight into its
+padded group buffer, and a trailing time plane raw, so a growth unit makes
+no concat, batchnorm or relu output.  Its backward closure keeps the
 feature arrays themselves, the taps and per-channel numbers, and rebuilds
 each group's padded buffer from them.  batchnorm2d, left for
 the classifier head, and the fused conv share one statistics pass and one
@@ -75,13 +76,14 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
     The input is the channel concatenation of x and the tensors in ``rest``,
     which is never built: each tensor is written straight into the padded
     buffer below.  ``norm = (gamma, beta, running_mean, running_var, mode)``
-    makes the op a whole pre-activation unit: the first ``gamma.size``
-    channels go in as ``relu((x - mu) * a + beta)``, with mu, a and the
-    running-buffer update computed as ``batchnorm2d`` computes them, and the
-    channels after them go in raw (a time plane).  So no concat, batchnorm
-    or relu output exists (the shared storage of Pleiss et al.,
-    arXiv:1707.06990, and the rebuilt activations of Rota Bulo et al.,
-    arXiv:1712.02616).
+    makes the op a whole pre-activation unit: the leading inputs ``gamma``
+    covers go in as ``relu((x - mu) * a + beta)``, with mu, a and the
+    running-buffer update computed as ``batchnorm2d`` computes them, and a
+    trailing time plane goes in raw.  ``gamma.size`` must be the channel
+    count of some leading inputs, whole, or the op raises ``ShapeError``.
+    So no concat, batchnorm or relu output exists (the shared storage of
+    Pleiss et al., arXiv:1707.06990, and the rebuilt activations of Rota
+    Bulo et al., arXiv:1712.02616).
 
     Both passes walk groups of whole images, about ``CONV_BLOCK`` padded
     positions each, from start to finish.  A valid output of an image reads
@@ -108,8 +110,8 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
     tap's offset, and gets the group's gw partial and the gradient of ``xf``
     from one GEMM each.  The latter, times relu's mask in the normalized rows
     (``xf > 0``), is cropped into one gradient per input.  Batchnorm's
-    backward then runs on the normalized channels in place: a second pass,
-    as its channel sums need the whole batch.
+    backward then runs on the normalized inputs' gradients in place: a
+    second pass, as its channel sums need the whole batch.
 
     Groups are chunks of ``parallel.run``.  Each participant cuts its
     buffers from one scratch that the calling thread allocates per pass.
@@ -142,14 +144,15 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
     o, _, kh, kw = w.shape
     if h + 2 * pad < kh or wd + 2 * pad < kw:
         raise ShapeError(f"conv2d: kernel {w.shape} larger than padded input {(n, c, h, wd)}")
-    cn = 0
+    cn = j = 0   # the normalized channels, and the leading inputs that hold them
     if norm is not None:
         gamma, beta, running_mean, running_var, mode = norm
         _check_mode("conv2d", mode)
         cn = gamma.size
-        if beta.size != cn or cn > c:
+        if beta.size != cn or cn not in bounds[1:]:
             raise ShapeError(f"conv2d: a norm of {cn} gamma and {beta.size} beta channels "
-                             f"does not fit the input's {c} channels")
+                             f"does not cover whole leading inputs of {shapes}")
+        j = bounds.index(cn, 1)
 
     hp, wp = h + 2 * pad, wd + 2 * pad
     hw = hp * wp
@@ -164,15 +167,13 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
     span = most * hw + tail   # the columns of a participant's xf
     # the rows and columns of the valid window corners in the (Hp, Wp) wide layout
     rows, cols = slice(0, (oh - 1) * stride + 1, stride), slice(0, (ow - 1) * stride + 1, stride)
-    # how many of each input's channels are normalized: together, the first cn
-    normed = [min(max(cn - lo, 0), hi - lo) for lo, hi in zip(bounds, bounds[1:])]
     # one group of the widest normalized input, for the prologue and batchnorm's backward
-    most_normed = most * max(normed) * h * wd
+    most_normed = most * max((arr.shape[1] for arr in arrays[:j]), default=0) * h * wd
     # batchnorm's per-channel mu, inv = 1 / sqrt(var + BN_EPS), a = gamma * inv and beta
     mu = inv = scale = shift = train = None
     if norm is not None:
         train = mode == "train"
-        mu, var = _statistics([(arr[:, :k], lo) for arr, lo, k in zip(arrays, bounds, normed) if k],
+        mu, var = _statistics(list(zip(arrays[:j], bounds)),
                               cn, dtype, running_mean, running_var, mode)
         inv = 1.0 / np.sqrt(var + BN_EPS)
         scale, shift = gamma.data * inv, beta.data
@@ -185,29 +186,20 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
         buf[:, :ends[zeroed - 1]] = 0
         return lambda slot: [buf[slot, a:b] for a, b in zip([0, *ends], ends)]
 
-    def prologue(src, lo, out):
-        # relu((x - mu) * a + beta) of NCHW src, channels lo.. of the input, into out
-        ch = slice(lo, lo + src.shape[1])
-        v = np.subtract(src, mu[ch].reshape(-1, 1, 1), out=out)
-        v *= scale[ch].reshape(-1, 1, 1)
-        v += shift[ch].reshape(-1, 1, 1)
-        check_finite(v, "batchnorm2d")   # a non-finite value is batchnorm's, and named so
-        return np.maximum(v, 0, out=v)
-
     def fill(s, xf, tmp):
         # images s of the input, channel-major, into the interiors of the
         # zero-bordered (C, span) xf; returns the group's xf, tail included
         g = s.stop - s.start
         xf[:, g * hw:g * hw + tail] = 0   # where an image of a larger group may lie
         xf_images = xf[:, :g * hw].reshape(c, g, hp, wp)
-        for arr, lo, hi, k in zip(arrays, bounds, bounds[1:], normed):
+        for i, (arr, lo, hi) in enumerate(zip(arrays, bounds, bounds[1:])):
             src = arr[s]
-            dst = xf_images[lo:hi, :, pad:pad + h, pad:pad + wd]
-            if k:   # computed in a contiguous scratch, then copied in
-                normal = src[:, :k]
-                normal = prologue(normal, lo, tmp[:normal.size].reshape(normal.shape))
-                dst[:k] = normal.transpose(1, 0, 2, 3)
-            dst[k:] = src[:, k:].transpose(1, 0, 2, 3)
+            if i < j:   # the prologue, relu of batchnorm's map, in a contiguous scratch
+                src = _normalize(src, slice(lo, hi), mu, scale, shift,
+                                 tmp[:src.size].reshape(src.shape))
+                check_finite(src, "batchnorm2d")   # a non-finite value is batchnorm's, and named so
+                np.maximum(src, 0, out=src)
+            xf_images[lo:hi, :, pad:pad + h, pad:pad + wd] = src.transpose(1, 0, 2, 3)
         return xf[:, :g * hw + tail]
 
     taps = w.data.transpose(2, 3, 0, 1).reshape(kk * o, c)
@@ -265,20 +257,18 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
             gw += part
         gw = gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
         grads = (*gxs, np.ascontiguousarray(gw))
-        if not cn:
+        if not j:
             return grads
-        dgamma, dbeta, r, q = _coefficients([(gx[:, :k], arr[:, :k], lo) for gx, arr, lo, k
-                                             in zip(gxs, arrays, bounds, normed) if k],
+        dgamma, dbeta, r, q = _coefficients(list(zip(gxs[:j], arrays[:j], bounds)),
                                             cn, mu, inv, scale, n * h * wd, train, dtype)
         a3 = scale.reshape(-1, 1, 1)
 
         def differentiate(s, slot):
             tmp = regions(slot)[-1]
-            for arr, gx, lo, k in zip(arrays, gxs, bounds, normed):
-                if k:   # batchnorm's backward, in place
-                    g = gx[s, :k]
-                    _input_gradient(arr[s, :k], g, slice(lo, lo + k), a3, r, q, g,
-                                    tmp[:g.size].reshape(g.shape))
+            for arr, gx, lo, hi in zip(arrays[:j], gxs, bounds, bounds[1:]):
+                g = gx[s]   # batchnorm's backward, in place
+                _input_gradient(arr[s], g, slice(lo, hi), a3, r, q, g,
+                                tmp[:g.size].reshape(g.shape))
 
         parallel.run(differentiate, groups)
         return (*grads, dgamma, dbeta)
@@ -366,6 +356,17 @@ def _coefficients(parts, c, mu, inv, a, m, train, dtype):
     return (*params, r.astype(dtype).reshape(-1, 1, 1), q.astype(dtype).reshape(-1, 1, 1))
 
 
+def _normalize(x, ch, mu, a, beta, out=None):
+    """Batchnorm's map ``(x - mu) * a + beta`` of NCHW x, over channels ``ch``
+    of the per-channel arrays mu, a and beta, into out (a new array if None).
+    Centring first keeps its rounding small when |mu| >> sigma, where ``x * a
+    + (beta - mu * a)`` would not."""
+    v = np.subtract(x, mu[ch].reshape(-1, 1, 1), out=out)
+    v *= a[ch].reshape(-1, 1, 1)
+    v += beta[ch].reshape(-1, 1, 1)
+    return v
+
+
 def _input_gradient(x, g, ch, a, r, q, out, tmp):
     """Batchnorm's input gradient of NCHW channels ``ch`` of the (C, 1, 1)
     arrays a, r and q: ``a * (g + r*x) + q``, or ``a * g`` when r is None,
@@ -387,9 +388,8 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
     toward them in place, by ``BN_MOMENTUM``.  Eval mode takes them from a
     copy of those arrays and leaves them (``_statistics``, which conv2d's
     prologue shares).  The output is the only x-sized array the forward
-    allocates: x is centred into it, then scaled and shifted in place.
-    Centring first keeps the rounding of the output small when |mu| >>
-    sigma, where ``x * a + (beta - mu * a)`` would not.
+    allocates: x is centred into it, then scaled and shifted in place
+    (``_normalize``, which conv2d's prologue shares).
 
     The backward closure keeps x, the only x-sized array it holds, and
     per-channel numbers, so the output is freed once its reader is done.
@@ -408,16 +408,13 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
     mu, var = _statistics([(xd, 0)], c, xd.dtype, running_mean, running_var, mode)
     inv = 1.0 / np.sqrt(var + BN_EPS)
     a = gamma.data * inv
-    a3 = a.reshape(-1, 1, 1)
-    out = np.subtract(xd, mu.reshape(-1, 1, 1))
-    out *= a3
-    out += beta.data.reshape(-1, 1, 1)
+    out = _normalize(xd, slice(None), mu, a, beta.data)
 
     def backward_fn(gout):
         dgamma, dbeta, r, q = _coefficients([(gout, xd, 0)], c, mu, inv, a, xd.size // c,
                                             mode == "train", xd.dtype)
         gx = np.empty_like(xd)
-        _input_gradient(xd, gout, slice(None), a3, r, q, gx, gx)
+        _input_gradient(xd, gout, slice(None), a.reshape(-1, 1, 1), r, q, gx, gx)
         return gx, dgamma, dbeta
 
     return _emit((x, gamma, beta), out, backward_fn, "batchnorm2d")

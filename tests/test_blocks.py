@@ -129,7 +129,7 @@ def test_a_growth_unit_is_the_unfused_chain_over_its_feature_list(mode, bottlene
     feats = [Tensor(rng.normal(size=(2, c, 6, 6)) + 1, dtype="float64") for c in (2, 3)]
     plane = Tensor(np.full((2, 1, 6, 6), 0.7), dtype="float64")
     stats = [(bn.running_mean.copy(), bn.running_var.copy()) for bn, _ in unit.layers]
-    got = unit.forward(feats, time=plane, mode=mode)
+    got = unit.forward([*feats, plane], mode=mode)
 
     hs, time = feats, plane
     for (bn, w), buffers in zip(unit.layers, stats):

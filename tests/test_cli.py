@@ -187,6 +187,22 @@ def test_seed_a_checkpoint_cannot_hold_exits_1_before_the_model_is_built(
     assert err.startswith("error: argument --seed: ")
 
 
+# sizes above 2**57 and below 2**63 bytes: no host maps them, so numpy
+# raises MemoryError rather than ValueError, before any byte is written
+@pytest.mark.parametrize("overrides, count", [({"k": 10**16}, 32), ({}, 10**14)],
+                         ids=["model-1.87-EiB", "data-273-PiB"])
+def test_a_run_too_large_to_allocate_exits_2_with_an_error_line(
+        tmp_path, capsys, overrides, count):
+    out = tmp_path / "run"
+    argv = ["train", "--config", write_config(tmp_path, **overrides), "--data", "synthetic",
+            "--synthetic-train", str(count), "--synthetic-test", "8", "--epochs", "1",
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TrainConfig)])
 def test_every_train_setting_is_checked_by_train_config(tmp_path, capsys, name):
     # TrainConfig is the one validator: a field added later is checked on

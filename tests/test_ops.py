@@ -485,7 +485,12 @@ def fused_preact_conv(xs, time, w, gamma, beta, stats, mode, pad):
 
 
 class TestFusedConv:
-    """conv2d with a ``norm``: batchnorm and relu applied while it pads."""
+    """conv2d with a ``norm``: batchnorm and relu applied while it pads.
+
+    It equals the unfused chain bitwise for features of two or more
+    channels.  A one-channel feature is summed by einsum in another order
+    than the same channel inside a wider array, so its last bits may differ.
+    """
 
     @staticmethod
     def run(conv, dtype, mode, widths, raw, k, seed=30, size=(3, 5, 6)):
@@ -904,7 +909,15 @@ GUARDS = {
     "conv2d-norm-wider-than-input": (lambda: ops.conv2d(_zeros(1, 2, 4, 4), _zeros(2, 2, 3, 3),
                                                         norm=(_zeros(3), _zeros(3), np.zeros(3),
                                                               np.ones(3), "train")),
-                                     ShapeError, "does not fit the input's 2 channels"),
+                                     ShapeError,
+                                     r"does not cover whole leading inputs of \(1, 2, 4, 4\)$"),
+    "conv2d-norm-splits-an-input": (lambda: ops.conv2d(_zeros(1, 2, 4, 4), _zeros(2, 3, 3, 3),
+                                                       rest=[_zeros(1, 1, 4, 4)],
+                                                       norm=(_zeros(1), _zeros(1), np.zeros(1),
+                                                             np.ones(1), "train")),
+                                    ShapeError, r"a norm of 1 gamma and 1 beta channels does "
+                                    r"not cover whole leading inputs of "
+                                    r"\(1, 2, 4, 4\) \+ \(1, 1, 4, 4\)"),
     "conv2d-rest-size-mismatch": (lambda: ops.conv2d(_zeros(1, 2, 4, 4), _zeros(2, 3, 3, 3),
                                                      rest=[_zeros(1, 1, 4, 5)]),
                                   ShapeError, "every input needs x's batch and spatial size"),

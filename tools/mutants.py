@@ -90,6 +90,11 @@ MUTANTS = [
            "            gxf[:cn] *= xf[:cn] > 0\n",
            "",
            FUSED_TESTS),
+    Mutant("conv-norm-may-split-an-input", OPS,
+           "if beta.size != cn or cn not in bounds[1:]:",
+           "if beta.size != cn or cn > c:",
+           # killed by its conv2d-norm-splits-an-input case
+           ("tests/test_ops.py::test_op_guard_rejects_bad_input_with_its_message",)),
     Mutant("fused-running-stats-frozen", OPS,
            "cn, dtype, running_mean, running_var, mode)",
            "cn, dtype, running_mean.copy(), running_var.copy(), mode)",
@@ -263,6 +268,10 @@ MUTANTS = [
            "if not isinstance(cfg, dict):\n            raise",
            "if False:\n            raise",
            ("tests/test_cli.py::TestTrainEvalInspect::test_corrupted_checkpoint_exits_2",)),
+    Mutant("cli-memory-error-is-a-traceback", "src/rknet/cli.py",
+           "except (RuntimeError, OSError, MemoryError) as exc:",
+           "except (RuntimeError, OSError) as exc:",
+           ("tests/test_cli.py::test_a_run_too_large_to_allocate_exits_2_with_an_error_line",)),
     Mutant("cli-out-check-dropped", "src/rknet/cli.py",
            "    _check_out_dir(args.out)\n",
            "",
@@ -275,22 +284,23 @@ MUTANTS = [
            ("tests/test_network.py::TestForward::"
             "test_nonfinite_growth_output_is_named_by_its_scope",)),
     Mutant("preact-drops-time-plane", "src/rknet/blocks.py",
-           "[*xs, time]",
-           "[*xs, ops.scale(time, 0.0)]",
+           "[*feats, time]",
+           "[*feats, ops.scale(time, 0.0)]",
            ("tests/test_blocks.py::TestTimeChannelStepBlock::test_time_plane_joins_after_bn_relu",)),
+    # a plane first takes the normalized place of the state's channels, which
+    # conv2d rejects: its norm covers whole leading inputs only
     Mutant("time-plane-normalized", "src/rknet/blocks.py",
-           "[*xs, time]",
-           "[time, *xs]",
-           ("tests/test_blocks.py::test_a_growth_unit_is_the_unfused_chain_over_its_feature_list",
-            "tests/test_blocks.py::TestTimeChannelStepBlock::test_time_plane_joins_after_bn_relu")),
+           "[*feats, time]",
+           "[time, *feats]",
+           ("tests/test_blocks.py::TestTimeChannelStepBlock::test_time_plane_joins_after_bn_relu",)),
     Mutant("linear-layer-gets-relu", "src/rknet/blocks.py",
            "return ops.dropout(h, dropout_p, mode, rng)",
            "return ops.dropout(h if bn else ops.relu(h), dropout_p, mode, rng)",
            ("tests/test_acceptance.py::test_criterion_02_erk_block_is_rk4",
             "tests/test_acceptance.py::test_criterion_03_irk_block_is_gauss2")),
     Mutant("time-plane-reaches-every-layer", "src/rknet/blocks.py",
-           "xs, time = [_preact_conv(bn, w, xs, time, mode, dropout_p, rng)], None",
-           "xs = [_preact_conv(bn, w, xs, time, mode, dropout_p, rng)]",
+           "xs = [_preact_conv(bn, w, xs, mode, dropout_p, rng)]",
+           "xs = [_preact_conv(bn, w, xs, mode, dropout_p, rng), *xs[-1:]]",
            ("tests/test_blocks.py::TestTimeChannelStepBlock::"
             "test_time_plane_reaches_only_a_bottleneck_units_1x1_half",)),
 ]
