@@ -1,6 +1,7 @@
 """Dataset ingestion: CIFAR-10 binary batches, a desk-scale synthetic shape
 set, and the standard pad-crop-flip augmentation."""
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,30 +28,40 @@ class DatasetHandle:
 _CIFAR_TRAIN = [f"data_batch_{i}.bin" for i in range(1, 6)]
 _CIFAR_TEST = "test_batch.bin"
 _CIFAR_RECORD = 3073          # 1 label byte + 3 * 1024 channel-planar pixel bytes
-_CIFAR_FILE_BYTES = 10_000 * _CIFAR_RECORD
+_CIFAR_RECORDS = 10_000       # records per batch file
 
 
 def _read_cifar_batch(path):
+    """One batch file's images and labels; its size is checked before any
+    byte is read, so no allocation is sized by the file."""
+    records = _CIFAR_RECORDS
+    expected = records * _CIFAR_RECORD
     try:
-        raw = np.fromfile(path, dtype=np.uint8)
+        size = os.stat(path).st_size
+        if size == expected:
+            raw = np.fromfile(path, dtype=np.uint8, count=expected)
+            size = raw.size   # the file may have shrunk since the stat
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if raw.size != _CIFAR_FILE_BYTES:
-        raise DataError(f"{path}: expected {_CIFAR_FILE_BYTES} bytes "
-                        f"(10000 records of {_CIFAR_RECORD}), got {raw.size}")
-    records = raw.reshape(10_000, _CIFAR_RECORD)
-    labels = records[:, 0].astype(np.int64)
+    if size != expected:
+        raise DataError(f"{path}: expected {expected} bytes "
+                        f"({records} records of {_CIFAR_RECORD}), got {size}")
+    rows = raw.reshape(records, _CIFAR_RECORD)
+    labels = rows[:, 0].astype(np.int64)
     if labels.max() > 9:
         raise DataError(f"{path}: label byte {labels.max()} out of range [0, 9]")
-    images = records[:, 1:].reshape(10_000, 3, 32, 32).astype(np.float32) / 255.0
+    images = rows[:, 1:].reshape(records, 3, 32, 32).astype(np.float32) / 255.0
     return images, labels
 
 
 def load_cifar10_binary(directory):
     """Load the six standard CIFAR-10 binary batch files from a directory,
-    standardized per channel with statistics computed from the training split."""
-    import os
+    standardized per channel with statistics computed from the training split.
 
+    A training channel that is constant (standard deviation 0, which float32
+    rounding may not compute as 0) or whose standard deviation is not finite
+    cannot be standardized; it raises ``DataError`` naming the split and the
+    channel."""
     parts = [_read_cifar_batch(os.path.join(directory, f)) for f in _CIFAR_TRAIN]
     train_x = np.concatenate([p[0] for p in parts])
     train_y = np.concatenate([p[1] for p in parts])
@@ -58,6 +69,11 @@ def load_cifar10_binary(directory):
 
     mean = train_x.mean(axis=(0, 2, 3), keepdims=True)
     std = train_x.std(axis=(0, 2, 3), keepdims=True)
+    constant = train_x.min(axis=(0, 2, 3)) == train_x.max(axis=(0, 2, 3))
+    for channel, (value, flat) in enumerate(zip(std.ravel(), constant)):
+        if flat or not np.isfinite(value):
+            raise DataError(f"{directory}: channel {channel} of the train split has standard "
+                            f"deviation {0.0 if flat else value}, so it cannot be standardized")
     train_x = (train_x - mean) / std
     test_x = (test_x - mean) / std
     return (DatasetHandle(train_x, train_y, "train", 10),

@@ -35,6 +35,15 @@ read the op's inputs themselves (relu's reads its output), so an array an op
 has read or written must not change between its forward and its backward.
 Every op records itself on the active tape (if any) and is pure given its
 inputs and rng.
+
+For each input, a backward closure returns None, ``gout`` itself, a view of
+``gout``, or an array it allocated for that input alone and keeps no
+reference to; and it never writes into ``gout``.  ``tensor.backward`` sums a
+tensor's gradients in place into such a fresh array, so an op that broke
+this would have its arrays written.  conv2d's input gradients, batchnorm's
+and relu's are fresh; add hands ``gout`` to every term,
+concat_channels returns views of it, and global_avg_pool a read-only
+broadcast of the (N, C) gradient.
 """
 
 import itertools
@@ -284,6 +293,17 @@ BN_MOMENTUM = 0.1  # running += BN_MOMENTUM * (batch statistic - running)
 BN_EPS = 1e-5
 
 
+def _plane_sums(a, b=None, dtype=None):
+    """Per-channel sums of NCHW a, or of a*b if b is given, in dtype (a's if
+    None).  Each (n, c) plane is reduced alone, then each channel's n plane
+    partials are summed as one contiguous row, so a channel's sum does not
+    depend on the channels beside it: it is the same alone, in a group of
+    channels or inside a wider array."""
+    planes = [t.reshape(*t.shape[:2], -1) for t in (a, b) if t is not None]
+    p = np.einsum("nci,nci->nc" if b is not None else "nci->nc", *planes, dtype=dtype)
+    return np.ascontiguousarray(p.T).sum(axis=1)
+
+
 def _statistics(parts, c, dtype, running_mean, running_var, mode):
     """Batchnorm's per-channel mean and variance, in dtype, of the channel
     concatenation of ``parts``: (NCHW array, first channel) pairs that
@@ -303,18 +323,16 @@ def _statistics(parts, c, dtype, running_mean, running_var, mode):
     jobs = [(arr, lo, s) for arr, lo in parts
             for s in parallel.spans(arr.shape[1], arr[:, :1].nbytes)]
     widest = max(s.stop - s.start for _, _, s in jobs)
-    # a channel wider than any group, unless c is 1: einsum then sums a
-    # one-channel group image by image, as it sums a channel of a wider input
-    scratch = np.empty((parallel.width(jobs), n, min(c, widest + 1), h, w), dtype=dtype)
+    scratch = np.empty((parallel.width(jobs), n, widest, h, w), dtype=dtype)
     mu, var = np.empty(c, dtype=dtype), np.empty(c, dtype=dtype)
 
     def statistics(job, slot):   # the mean, then the variance of the centred values
         arr, lo, s = job
         xs, ch = arr[:, s], slice(lo + s.start, lo + s.stop)
-        mu[ch] = np.einsum("nchw->c", xs) / m
+        mu[ch] = _plane_sums(xs) / m
         centred = np.subtract(xs, mu[ch].reshape(-1, 1, 1),
                               out=scratch[slot, :, :s.stop - s.start])
-        var[ch] = np.einsum("nchw,nchw->c", centred, centred) / m
+        var[ch] = _plane_sums(centred, centred) / m
 
     parallel.run(statistics, jobs)
     running_mean += BN_MOMENTUM * (mu - running_mean)
@@ -342,8 +360,8 @@ def _coefficients(parts, c, mu, inv, a, m, train, dtype):
     def sums(job, slot):
         g, x, lo, s = job
         ch = slice(lo + s.start, lo + s.stop)
-        gsum[ch] = np.einsum("nchw->c", g[:, s], dtype=np.float64)
-        gxsum[ch] = np.einsum("nchw,nchw->c", g[:, s], x[:, s], dtype=np.float64)
+        gsum[ch] = _plane_sums(g[:, s], dtype=np.float64)
+        gxsum[ch] = _plane_sums(g[:, s], x[:, s], dtype=np.float64)
 
     parallel.run(sums, jobs)
     gdot = inv * (gxsum - mu * gsum)
@@ -580,7 +598,9 @@ def global_avg_pool(x):
     out = x.data.mean(axis=(2, 3))
 
     def backward_fn(gout):
-        return (np.broadcast_to(gout[:, :, None, None] / (h * w), shape).astype(dtype),)
+        # a read-only stride-0 view, so no (N, C, H, W) array waits for x's other readers
+        return (np.broadcast_to((gout / (h * w)).astype(dtype, copy=False)[:, :, None, None],
+                                shape),)
 
     return _emit((x,), out, backward_fn, "global_avg_pool")
 

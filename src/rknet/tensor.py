@@ -152,11 +152,26 @@ def active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+def _sums_into(target, acc, g):
+    """Whether ``target`` (acc or g) can take acc + g in place: it has the
+    sum's shape and dtype, so a mixed-dtype sum still promotes."""
+    return target.shape == acc.shape == g.shape and target.dtype == np.result_type(acc, g)
+
+
 def backward(tape, loss):
     """Run the tape in reverse, accumulating d(loss)/d(param) into grads.
 
     ``loss`` must be a scalar tensor produced while ``tape`` was active.
     Parameters not reachable from the loss keep their current grads.
+
+    A tensor read by several ops gets the sum of their gradients, in tape
+    order.  The pass sums in place into a gradient it owns: one it summed
+    itself, or a fresh array a closure returned, that is an ndarray with no
+    base, not the closure's ``gout`` and only once in its tuple.  This rests
+    on the contract every backward closure keeps (see ``ops``): for each
+    input it returns None, ``gout`` itself, a view of ``gout``, or an array
+    it allocated for that input alone and keeps no reference to.  Any other
+    gradient (``gout`` handed on, a view, a numpy scalar) is never written.
     """
     if tape.consumed:
         raise TapeError("tape already consumed by a previous backward pass")
@@ -167,21 +182,35 @@ def backward(tape, loss):
     tape.consumed = True
 
     grads = {loss.serial: np.ones_like(loss.data)}
+    owned = set()   # serials whose stored gradient nothing but grads holds
     # pop each node as it runs, so its closure's arrays are freed during the pass
     nodes = tape._nodes
     while nodes:
         node = nodes.pop()
         gout = grads.pop(node.output_serial, None)
+        owned.discard(node.output_serial)
         if gout is None:
             continue
-        gins = node.backward_fn(gout)
+        gins = tuple(node.backward_fn(gout))
         for serial, g in zip(node.inputs, gins):
             if g is None:
                 continue
+            fresh = (isinstance(g, np.ndarray) and g.base is None and g is not gout
+                     and sum(x is g for x in gins) == 1)
             acc = grads.get(serial)
-            # never accumulate in place: a backward_fn may hand the same array
-            # to several inputs (e.g. add), so stored grads must stay frozen
-            grads[serial] = g if acc is None else acc + g
+            if acc is not None:
+                # in place only where acc + g has the array's shape and dtype;
+                # g += acc is bitwise acc + g, as IEEE addition commutes
+                if serial in owned and _sums_into(acc, acc, g):
+                    acc += g
+                    continue
+                if fresh and _sums_into(g, acc, g):
+                    g += acc
+                else:
+                    g = acc + g
+                    fresh = isinstance(g, np.ndarray)   # a 0-d sum is a numpy scalar
+            grads[serial] = g
+            (owned.add if fresh else owned.discard)(serial)
         gins = acc = g = None   # dead once summed; freed before the next node's backward_fn
 
     for serial, param in tape._param_tensors.items():

@@ -140,7 +140,9 @@ def train_epochs(model, train_data, test_data, config, on_epoch_end=None):
             x, labels = _batch_arrays(train_data, idxs, config, epoch)
             rng = make_rng(config.seed, "dropout", epoch, b_idx)
             with Tape() as tape:
-                logits, _ = network.forward(model, x, mode="train", rng=rng)
+                # [0] drops the period states, so each is freed during the
+                # backward once the closures that read it have run
+                logits = network.forward(model, x, mode="train", rng=rng)[0]
                 loss = ops.softmax_cross_entropy(logits, labels)
             if not np.isfinite(loss.data):
                 raise _diagnose_nonfinite(model, x, labels,

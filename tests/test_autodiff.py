@@ -99,10 +99,50 @@ def test_backward_releases_the_tape_as_it_runs():
     assert after_backward < after_forward / 10, (after_forward, after_backward)
 
 
+def test_the_backward_holds_at_most_a_slack_beyond_the_tape():
+    # A paper-shaped multiscale model at 16x16 and batch 16.  When each node's
+    # backward starts, the pass may hold the tape the forward left plus a
+    # slack: the gradients of a few of the last period's features.  So its
+    # peak above the tape is at most one node's own pass, as the largest
+    # growth unit's input gradients and scratch, plus the slack.  A dense
+    # head gradient, (N, C, H, W) per pooled state where (N, C) would do,
+    # would sit through the later periods' backward and break the bound.
+    cfg = {"name": "ERKNet-3x2_3x2_3x2", "k": 12, "input_shape": [3, 16, 16],
+           "num_classes": 4, "multiscale": True, "attentional_transition": True}
+    model = network.build_model(ms.spec_from_config(cfg), seed=0, dtype="float32")
+    x = np.random.default_rng(8).normal(size=(16, 3, 16, 16))
+    labels = np.arange(16) % 4
+    network.forward(model, x, mode="train")   # starts the chunk pool outside the measurement
+    starts = []
+
+    def watched(fn):
+        def backward_fn(gout):
+            starts.append(tracemalloc.get_traced_memory()[0])
+            return fn(gout)
+        return backward_fn
+
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            logits, states = network.forward(model, x, mode="train")
+            loss = ops.softmax_cross_entropy(logits, labels)
+        slack = 4 * states[-1].data.nbytes   # 48 KiB
+        del logits, states
+        for node in tape._nodes:
+            node.backward_fn = watched(node.backward_fn)
+        tape_bytes, _ = tracemalloc.get_traced_memory()
+        backward(tape, loss)
+    finally:
+        tracemalloc.stop()
+    held = max(starts) - tape_bytes
+    assert held <= slack, (held, slack)
+
+
 def test_backward_frees_each_readers_gradient_once_it_is_summed():
-    # y has two readers; when y's producer runs, only the sum of their
-    # gradients may be alive, not the two arrays it was summed from
-    per_reader, freed = [], []
+    # y has two readers; when y's producer runs, at most one of their arrays
+    # may be alive, and only as the sum itself: the backward sums the second
+    # reader's gradient into the first's fresh array, and frees the second
+    per_reader, alive = [], []
 
     def reader_backward(g):
         gin = g * np.ones(3)   # a fresh array per reader
@@ -110,7 +150,8 @@ def test_backward_frees_each_readers_gradient_once_it_is_summed():
         return (gin,)
 
     def producer_backward(g):
-        freed.append([ref() is None for ref in per_reader])
+        alive.append([ref() for ref in per_reader if ref() is not None])
+        alive.append(g)
         return (None,)
 
     x = Tensor(np.ones(3), dtype="float64")
@@ -121,7 +162,146 @@ def test_backward_frees_each_readers_gradient_once_it_is_summed():
         tape.record((y,), b, reader_backward)
         loss = ops.sum_all(ops.add(a, b))
     backward(tape, loss)
-    assert freed == [[True, True]]
+    held, total = alive
+    assert len(held) <= 1 and all(arr is total for arr in held), len(held)
+    assert np.array_equal(total, np.full(3, 2.0))
+
+
+def out_of_place_grads(tape, loss):
+    """Every tensor's gradient by the rule that owns nothing: each sum a new
+    array, ``acc + g``, in tape order."""
+    grads = {loss.serial: np.ones_like(loss.data)}
+    for node in reversed(tape._nodes):
+        gout = grads.pop(node.output_serial, None)
+        if gout is not None:
+            for serial, g in zip(node.inputs, node.backward_fn(gout)):
+                if g is not None:
+                    grads[serial] = grads[serial] + g if serial in grads else g
+    return grads
+
+
+def check_in_place_sums(build):
+    """``build()`` returns (params, tape, loss, held): a fresh graph under a
+    tape, and (array, copy) pairs for arrays that its closures hold.
+    Backward must give every parameter the out-of-place rule's gradient
+    bitwise, and write none of the held arrays or the parameters' values."""
+    params, tape, loss, _ = build()
+    grads = out_of_place_grads(tape, loss)
+    want = []
+    for p in params:
+        ref = np.zeros_like(p.grad.data)
+        ref += grads[p.value.serial]
+        want.append(ref)
+    params, tape, loss, held = build()
+    held += [(p.value.data, p.value.data.copy()) for p in params]
+    backward(tape, loss)
+    for p, ref in zip(params, want):
+        assert p.grad.data.dtype == ref.dtype and p.grad.data.tobytes() == ref.tobytes(), p.name
+    for arr, copy in held:
+        assert arr.tobytes() == copy.tobytes()
+
+
+def leaf(name, shape, seed, dtype="float64"):
+    rng = np.random.default_rng(seed)
+    return Parameter(Tensor(rng.normal(size=shape), dtype=dtype), name)
+
+
+def reader(held, fn):
+    """A one-input op whose backward is fn(gout), with every array it
+    returns and gout recorded in ``held`` as (array, copy) at return time."""
+    def backward_fn(gout):
+        gins = fn(gout)
+        held.extend((a, a.copy()) for a in (gout, *gins) if isinstance(a, np.ndarray))
+        return gins
+    return backward_fn
+
+
+def record(tape, inputs, backward_fn):
+    out = Tensor(np.ones(inputs[0].shape), dtype=inputs[0].dtype)
+    tape.record(inputs, out, backward_fn)
+    return out
+
+
+def test_a_fresh_array_handed_to_two_inputs_is_not_summed_into():
+    # pair hands one new array to u and v; a later-summed reader of u must
+    # not add into it, or v's gradient would change with u's
+    def build():
+        u, v = leaf("u", (2, 3), 1), leaf("v", (2, 3), 2)
+        held = []
+        with Tape() as tape:
+            m = record(tape, (u.value,), lambda g: (g * 3.0,))
+
+            def pair(g):
+                shared = g * 2.0
+                held.append((shared, shared.copy()))
+                return shared, shared
+
+            t = record(tape, (u.value, v.value), pair)
+            loss = ops.sum_all(ops.add(m, t))
+        return [u, v], tape, loss, held
+
+    check_in_place_sums(build)
+
+
+def test_adds_shared_gradient_is_not_summed_into_through_an_identity_reader():
+    # add hands its gout to every term; an identity closure hands it on to
+    # y, so y's gradient is add's array, which c's gradient still is
+    def build():
+        y, c = leaf("y", (2, 3), 3), leaf("c", (2, 3), 4)
+        held = []
+        with Tape() as tape:
+            a = record(tape, (y.value,), reader(held, lambda g: (g,)))
+            b = record(tape, (y.value,), reader(held, lambda g: (g,)))
+            loss = ops.sum_all(ops.add(a, b, c.value))
+        return [y, c], tape, loss, held
+
+    check_in_place_sums(build)
+
+
+def test_concat_channels_views_are_not_summed_into():
+    # concat hands u and v views of its gout; u's later reader must not add
+    # into u's view
+    def build():
+        u, v = leaf("u", (2, 3, 2, 2), 5), leaf("v", (2, 2, 2, 2), 6)
+        held = []
+        with Tape() as tape:
+            s = ops.sigmoid(u.value)
+            joined = ops.concat_channels([u.value, v.value])
+            out = record(tape, (joined,), reader(held, lambda g: (g * 2.0,)))
+            loss = ops.add(ops.sum_all(out), ops.sum_all(s))
+        return [u, v], tape, loss, held
+
+    check_in_place_sums(build)
+
+
+def test_a_0d_gradient_chain_keeps_every_term():
+    # exp's and scale's 0-d gradients are numpy scalars, which no sum may own
+    def build():
+        theta, x = leaf("theta", (), 7), leaf("x", (2, 3), 8)
+        with Tape() as tape:
+            ratios = [ops.exp(theta.value), ops.scale(theta.value, 3.0), ops.exp(theta.value)]
+            loss = ops.sum_all(ops.add(*(ops.mul_scalar(x.value, r) for r in ratios)))
+        return [theta, x], tape, loss, []
+
+    check_in_place_sums(build)
+
+
+def test_float32_and_float64_terms_sum_as_acc_plus_g():
+    # the float32 array that owns y's first sum must not take a float64
+    # term in place: acc + g promotes it, and y's producer hands the
+    # float64 sum on to a float64 parameter
+    def build():
+        p = leaf("p", (2, 3), 9)
+        with Tape() as tape:
+            y = Tensor(np.ones((2, 3)), dtype="float32")
+            tape.record((p.value,), y, lambda g: (g / np.float64(3.0),))
+            wide = record(tape, (y,), lambda g: (g / np.float64(3.0),))
+            narrow = [record(tape, (y,), lambda g, d=d: (g / np.float32(d),))
+                      for d in (7.0, 11.0)]
+            loss = ops.sum_all(ops.add(wide, *narrow))
+        return [p], tape, loss, []
+
+    check_in_place_sums(build)
 
 
 def captured(fn):

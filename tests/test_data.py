@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rknet import data
 from rknet.data import (DataError, _read_cifar_batch, augment_cifar, gen_synthetic_shapes,
                         load_cifar10_binary)
 from rknet.rng import make_rng
@@ -80,6 +81,33 @@ class TestCifarLoader:
         data.tofile(broken / "test_batch.bin")
         with pytest.raises(DataError, match="label byte"):
             load_cifar10_binary(broken)
+
+
+    def test_a_constant_train_channel_is_a_data_error_naming_it(self, tmp_path, monkeypatch):
+        # four records per file, so no 180 MB is written; the green plane is
+        # one grey everywhere, which cannot be standardized
+        monkeypatch.setattr(data, "_CIFAR_RECORDS", 4)
+        rng = np.random.default_rng(0)
+        for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+            records = rng.integers(0, 256, size=(4, RECORD), dtype=np.uint8)
+            records[:, 0] %= 10
+            records[:, 1025:2049] = 128
+            records.tofile(tmp_path / name)
+        with pytest.raises(DataError, match="channel 1 of the train split has standard "
+                                            "deviation 0.0"):
+            load_cifar10_binary(tmp_path)
+
+    def test_an_oversized_batch_file_is_rejected_before_it_is_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_CIFAR_RECORDS", 4)
+        path = tmp_path / "data_batch_1.bin"
+        path.write_bytes(b"\x00" * (4 * RECORD + 1))
+
+        def read(*args, **kwargs):
+            raise AssertionError("the file was read before its size was checked")
+
+        monkeypatch.setattr(np, "fromfile", read)
+        with pytest.raises(DataError, match=f"expected {4 * RECORD} bytes.*got {4 * RECORD + 1}"):
+            _read_cifar_batch(path)
 
 
 class TestSyntheticShapes:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rknet import ops, parallel
+from rknet import network, ops, parallel
 from rknet.rng import make_rng
 from rknet.tensor import (NonFiniteError, Parameter, ShapeError, Tape, Tensor, backward,
                           set_debug)
@@ -458,6 +458,30 @@ class TestBatchNorm:
 
         assert running_var(1).tobytes() == running_var(1 << 20).tobytes()
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_channels_sums_are_the_same_alone_and_among_others(self, dtype):
+        # mean, variance and the backward's sums of a channel held alone, in
+        # a group of 2 or 3 channels, or inside the whole array; 8 images, so
+        # summing the (n, c) plane partials down their columns would add a
+        # one-channel group in another order than a wider one
+        rng = np.random.default_rng(27)
+        x = (rng.normal(size=(8, 5, 6, 6)) * 2 + 1).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        cuts = {"whole": [(0, 5)], "groups": [(0, 2), (2, 5)],
+                "alone": [(j, j + 1) for j in range(5)]}
+        results = {}
+        for name, bounds in cuts.items():
+            xs = [np.ascontiguousarray(x[:, lo:hi]) for lo, hi in bounds]
+            gs = [np.ascontiguousarray(g[:, lo:hi]) for lo, hi in bounds]
+            firsts = [lo for lo, _ in bounds]
+            mu, var = ops._statistics(list(zip(xs, firsts)), 5, x.dtype, np.zeros(5, dtype),
+                                      np.ones(5, dtype), "train")
+            inv = 1.0 / np.sqrt(var + ops.BN_EPS)
+            sums = ops._coefficients(list(zip(gs, xs, firsts)), 5, mu, inv, inv, 8 * 36, True,
+                                     x.dtype)
+            results[name] = [a.tobytes() for a in (mu, var, *sums)]
+        assert results["groups"] == results["whole"] and results["alone"] == results["whole"]
+
     def test_eval_backward_ignores_a_later_train_update(self):
         rng = np.random.default_rng(23)
         x = Tensor(rng.normal(size=(4, 3, 5, 5)) * 2 + 1, dtype="float64")
@@ -487,9 +511,9 @@ def fused_preact_conv(xs, time, w, gamma, beta, stats, mode, pad):
 class TestFusedConv:
     """conv2d with a ``norm``: batchnorm and relu applied while it pads.
 
-    It equals the unfused chain bitwise for features of two or more
-    channels.  A one-channel feature is summed by einsum in another order
-    than the same channel inside a wider array, so its last bits may differ.
+    It equals the unfused chain bitwise for features of any width, one
+    channel included: a channel's batchnorm sums do not depend on the
+    channels beside it.
     """
 
     @staticmethod
@@ -521,7 +545,7 @@ class TestFusedConv:
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("k", [1, 3])
     def test_equals_the_unfused_chain_bitwise(self, dtype, mode, k):
-        for widths in ((3,), (3, 2), (2, 4, 3)):
+        for widths in ((3,), (3, 2), (2, 4, 3), (1, 3), (2, 1), (1,), (1, 1, 1)):
             for raw in (False, True):
                 case = (widths, raw)
                 want = self.run(unfused_preact_conv, dtype, mode, widths, raw, k)
@@ -711,6 +735,46 @@ class TestPooling:
         shuffled = x.reshape(2, 3, 16)[:, :, perm].reshape(2, 3, 4, 4)
         pooled2 = ops.global_avg_pool(Tensor(shuffled, dtype="float64"))
         assert np.allclose(pooled.data, pooled2.data)
+
+    def test_global_pool_gradient_is_a_broadcast_view(self):
+        # a read-only stride-0 view of the (N, C) gradient, not an (N, C, H, W) array
+        x = Tensor(np.random.default_rng(12).normal(size=(2, 3, 4, 5)), dtype="float32")
+        with Tape() as tape:
+            ops.global_avg_pool(x)
+        gout = np.arange(6, dtype=np.float32).reshape(2, 3)
+        (gx,) = tape._nodes[-1].backward_fn(gout)
+        assert gx.shape == x.shape and gx.dtype == np.float32
+        assert gx.strides[2:] == (0, 0) and not gx.flags.writeable
+        assert np.array_equal(gx, np.broadcast_to(gout[:, :, None, None] / 20, x.shape))
+
+    @pytest.mark.parametrize("head", ["multiscale", "post_bn"])
+    def test_pooled_heads_match_finite_differences(self, head):
+        # each pooled state is also read by a conv, so its broadcast pool
+        # gradient is summed with the conv's
+        rng = np.random.default_rng(13)
+        y = Parameter(Tensor(rng.normal(size=(2, 3, 4, 4)), dtype="float64"), "y")
+        w = Parameter(Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.3, dtype="float64"), "w")
+        gamma = Parameter(Tensor(rng.normal(size=4) + 1, dtype="float64"), "gamma")
+        beta = Parameter(Tensor(rng.normal(size=4) * 0.5, dtype="float64"), "beta")
+        fcw = Parameter(Tensor(rng.normal(size=(7, 3)), dtype="float64"), "fc.w")
+        fcb = Parameter(Tensor(np.zeros(3), dtype="float64"), "fc.b")
+        params = [y, w, fcw, fcb] + ([gamma, beta] if head == "post_bn" else [])
+
+        def compute():
+            h = ops.avgpool2d(ops.conv2d(y.value, w.value, pad=1), 2, 2)
+            if head == "multiscale":
+                feats = network.multiscale_collect([y.value, h])
+            else:
+                h = ops.batchnorm2d(h, gamma.value, beta.value, np.zeros(4), np.ones(4), "train")
+                feats = ops.concat_channels([ops.global_avg_pool(y.value),
+                                             ops.global_avg_pool(ops.relu(h))])
+            logits = ops.fully_connected(feats, fcw.value, fcb.value)
+            return ops.softmax_cross_entropy(logits, [0, 2])
+
+        with Tape() as tape:
+            loss = compute()
+        backward(tape, loss)
+        assert fd_gradcheck(lambda: compute().data, params, rng, n_coords=25) < 1e-4
 
     def test_pool_gradients(self):
         rng = np.random.default_rng(11)

@@ -238,6 +238,26 @@ class TestTrainEpochs:
         for p in model.parameters():
             assert np.array_equal(p.value.data, before[p.name]), p.name
 
+    def test_a_steps_period_states_are_freed_before_its_backward_runs(self, monkeypatch):
+        # the step keeps only the logits of its forward: its states list would
+        # hold every state's array through the whole backward
+        forward, refs, alive = network.forward, [], []
+
+        def spy(model, x, *args, **kwargs):
+            logits, states = forward(model, x, *args, **kwargs)
+            refs[:] = [weakref.ref(state) for state in states]
+            return logits, states
+
+        def checked_backward(tape, loss):
+            alive.append(sum(ref() is not None for ref in refs))
+            backward(tape, loss)
+
+        monkeypatch.setattr(network, "forward", spy)
+        monkeypatch.setattr(T, "backward", checked_backward)
+        T.train_epochs(tiny_model(), tiny_data(2), tiny_data(1, split="test"),
+                       T.TrainConfig(epochs=1, batch_size=4))
+        assert alive == [0, 0]
+
     def test_epoch_counter_advances(self):
         model = tiny_model(seed=3)
         cfg = T.TrainConfig(epochs=2, batch_size=32, seed=0)

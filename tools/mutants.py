@@ -131,15 +131,18 @@ MUTANTS = [
            "gx = np.empty_like(xd)",
            "gx = np.empty_like(out)",
            ("tests/test_autodiff.py::test_backward_closures_hold_arrays_not_tensors",)),
-    Mutant("batchnorm-centred-scratch-one-run", OPS,
-           "min(c, widest + 1)",
-           "widest",
-           ("tests/test_ops.py::TestBatchNorm::test_statistics_do_not_depend_on_the_channel_groups",)),
+    # summing the plane partials down the columns of the (n, c) array: the
+    # order then depends on the width, as a one-channel group is one row
+    Mutant("batchnorm-plane-partials-summed-by-column", OPS,
+           "np.ascontiguousarray(p.T).sum(axis=1)",
+           "p.sum(axis=0)",
+           ("tests/test_ops.py::TestBatchNorm::"
+            "test_a_channels_sums_are_the_same_alone_and_among_others",)),
     Mutant("batchnorm-sums-in-input-dtype", OPS,
-           "gsum[ch] = np.einsum(\"nchw->c\", g[:, s], dtype=np.float64)\n"
-           "        gxsum[ch] = np.einsum(\"nchw,nchw->c\", g[:, s], x[:, s], dtype=np.float64)",
-           "gsum[ch] = np.einsum(\"nchw->c\", g[:, s])\n"
-           "        gxsum[ch] = np.einsum(\"nchw,nchw->c\", g[:, s], x[:, s])",
+           "gsum[ch] = _plane_sums(g[:, s], dtype=np.float64)\n"
+           "        gxsum[ch] = _plane_sums(g[:, s], x[:, s], dtype=np.float64)",
+           "gsum[ch] = _plane_sums(g[:, s])\n"
+           "        gxsum[ch] = _plane_sums(g[:, s], x[:, s])",
            ("tests/test_ops.py::TestBatchNorm::"
             "test_float32_gradients_match_a_float64_oracle_far_from_zero_mean",)),
     Mutant("batchnorm-dgamma-dbeta-swapped", OPS,
@@ -164,6 +167,10 @@ MUTANTS = [
            ("tests/test_ops.py::TestStructuralOps::"
             "test_concat_backward_hands_each_input_its_own_channels",
             "tests/test_ops.py::TestStructuralOps::test_concat_split_gradients")),
+    Mutant("global-pool-gradient-dense", OPS,
+           "shape),)\n\n    return _emit((x,), out, backward_fn, \"global_avg_pool\")",
+           "shape).copy(),)\n\n    return _emit((x,), out, backward_fn, \"global_avg_pool\")",
+           ("tests/test_ops.py::TestPooling::test_global_pool_gradient_is_a_broadcast_view",)),
     Mutant("avgpool-guard-dropped", OPS,
            "if k < 1 or stride < 1:",
            "if False:",
@@ -212,6 +219,11 @@ MUTANTS = [
            "",
            ("tests/test_train.py::TestTrainEpochs::"
             "test_gradients_left_in_the_model_do_not_reach_the_first_step",)),
+    Mutant("train-step-holds-its-states", TRAIN,
+           'logits = network.forward(model, x, mode="train", rng=rng)[0]',
+           'logits, _ = network.forward(model, x, mode="train", rng=rng)',
+           ("tests/test_train.py::TestTrainEpochs::"
+            "test_a_steps_period_states_are_freed_before_its_backward_runs",)),
     Mutant("train-loss-times-count", TRAIN,
            '"train_loss": total_loss / len(perm)',
            '"train_loss": total_loss * len(perm)',
@@ -240,6 +252,25 @@ MUTANTS = [
            "        gins = acc = g = None   # dead once summed; freed before the next node's backward_fn\n",
            "",
            ("tests/test_autodiff.py::test_backward_frees_each_readers_gradient_once_it_is_summed",)),
+    Mutant("backward-owns-the-gout-it-hands-on", "src/rknet/tensor.py",
+           " and g is not gout",
+           "",
+           ("tests/test_autodiff.py::"
+            "test_adds_shared_gradient_is_not_summed_into_through_an_identity_reader",)),
+    Mutant("backward-owns-an-array-handed-to-two-inputs", "src/rknet/tensor.py",
+           "\n                     and sum(x is g for x in gins) == 1)",
+           ")",
+           ("tests/test_autodiff.py::"
+            "test_a_fresh_array_handed_to_two_inputs_is_not_summed_into",)),
+    Mutant("backward-owns-numpy-scalars", "src/rknet/tensor.py",
+           "fresh = (isinstance(g, np.ndarray) and g.base",
+           "fresh = (g.base",
+           ("tests/test_autodiff.py::test_a_0d_gradient_chain_keeps_every_term",
+            "tests/test_acceptance.py::test_criterion_04_gradient_suite")),
+    Mutant("backward-sums-in-place-across-dtypes", "src/rknet/tensor.py",
+           " and target.dtype == np.result_type(acc, g)",
+           "",
+           ("tests/test_autodiff.py::test_float32_and_float64_terms_sum_as_acc_plus_g",)),
     Mutant("grads-keyed-by-id", "src/rknet/tensor.py",
            "self.serial = next(_SERIALS)",
            "self.serial = id(self)",
@@ -277,6 +308,21 @@ MUTANTS = [
            "",
            ("tests/test_cli.py::TestTrainEvalInspect::"
             "test_out_that_cannot_be_a_directory_exits_1_before_any_data_is_made",)),
+    # the CIFAR-10 reader
+    Mutant("cifar-size-checked-after-the-read", "src/rknet/data.py",
+           "        if size == expected:\n"
+           "            raw = np.fromfile(path, dtype=np.uint8, count=expected)\n"
+           "            size = raw.size",
+           "        if True:\n"
+           "            raw = np.fromfile(path, dtype=np.uint8)\n"
+           "            size = raw.size",
+           ("tests/test_data.py::TestCifarLoader::"
+            "test_an_oversized_batch_file_is_rejected_before_it_is_read",)),
+    Mutant("cifar-constant-channel-standardized", "src/rknet/data.py",
+           "        if flat or not np.isfinite(value):",
+           "        if not np.isfinite(value):",
+           ("tests/test_data.py::TestCifarLoader::"
+            "test_a_constant_train_channel_is_a_data_error_naming_it",)),
     # the block wiring
     Mutant("dense-growth-scope-off-by-one", "src/rknet/blocks.py",
            'with op_scope(f"{label}{i}"):',
