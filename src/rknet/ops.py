@@ -153,15 +153,23 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
     o, _, kh, kw = w.shape
     if h + 2 * pad < kh or wd + 2 * pad < kw:
         raise ShapeError(f"conv2d: kernel {w.shape} larger than padded input {(n, c, h, wd)}")
+    arrays = [t.data for t in inputs]
+    dtype = np.result_type(*arrays)
     cn = j = 0   # the normalized channels, and the leading inputs that hold them
+    # batchnorm's per-channel numbers, from ``_statistics``, and beta's array
+    mu = inv = a = beta = train = None
     if norm is not None:
-        gamma, beta, running_mean, running_var, mode = norm
+        gamma, beta = norm[0].data, norm[1].data
+        running_mean, running_var, mode = norm[2:]
         _check_mode("conv2d", mode)
         cn = gamma.size
         if beta.size != cn or cn not in bounds[1:]:
             raise ShapeError(f"conv2d: a norm of {cn} gamma and {beta.size} beta channels "
                              f"does not cover whole leading inputs of {shapes}")
         j = bounds.index(cn, 1)
+        train = mode == "train"
+        mu, inv, a = _statistics(list(zip(arrays[:j], bounds)),
+                                 gamma, dtype, running_mean, running_var, mode)
 
     hp, wp = h + 2 * pad, wd + 2 * pad
     hw = hp * wp
@@ -169,8 +177,6 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
     kk = kh * kw
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
     tail = offsets[-1]
-    arrays = [t.data for t in inputs]
-    dtype = np.result_type(*arrays)
     groups = parallel.spans(n, hw, CONV_BLOCK)
     most = max((s.stop - s.start for s in groups), default=0)   # images in the largest group
     span = most * hw + tail   # the columns of a participant's xf
@@ -178,14 +184,6 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
     rows, cols = slice(0, (oh - 1) * stride + 1, stride), slice(0, (ow - 1) * stride + 1, stride)
     # one group of the widest normalized input, for the prologue and batchnorm's backward
     most_normed = most * max((arr.shape[1] for arr in arrays[:j]), default=0) * h * wd
-    # batchnorm's per-channel mu, inv = 1 / sqrt(var + BN_EPS), a = gamma * inv and beta
-    mu = inv = scale = shift = train = None
-    if norm is not None:
-        train = mode == "train"
-        mu, var = _statistics(list(zip(arrays[:j], bounds)),
-                              cn, dtype, running_mean, running_var, mode)
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        scale, shift = gamma.data * inv, beta.data
 
     def scratch(zeroed, *sizes):
         # one buffer per pass, cut per participant into regions of these
@@ -193,7 +191,7 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
         buf = np.empty((parallel.width(groups), sum(sizes)), dtype=dtype)
         ends = list(itertools.accumulate(sizes))
         buf[:, :ends[zeroed - 1]] = 0
-        return lambda slot: [buf[slot, a:b] for a, b in zip([0, *ends], ends)]
+        return lambda slot: [buf[slot, lo:hi] for lo, hi in zip([0, *ends], ends)]
 
     def fill(s, xf, tmp):
         # images s of the input, channel-major, into the interiors of the
@@ -204,7 +202,7 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
         for i, (arr, lo, hi) in enumerate(zip(arrays, bounds, bounds[1:])):
             src = arr[s]
             if i < j:   # the prologue, relu of batchnorm's map, in a contiguous scratch
-                src = _normalize(src, slice(lo, hi), mu, scale, shift,
+                src = _normalize(src, slice(lo, hi), mu, a, beta,
                                  tmp[:src.size].reshape(src.shape))
                 check_finite(src, "batchnorm2d")   # a non-finite value is batchnorm's, and named so
                 np.maximum(src, 0, out=src)
@@ -269,8 +267,8 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
         if not j:
             return grads
         dgamma, dbeta, r, q = _coefficients(list(zip(gxs[:j], arrays[:j], bounds)),
-                                            cn, mu, inv, scale, n * h * wd, train, dtype)
-        a3 = scale.reshape(-1, 1, 1)
+                                            mu, inv, a, train, dtype)
+        a3 = a.reshape(-1, 1, 1)
 
         def differentiate(s, slot):
             tmp = regions(slot)[-1]
@@ -282,7 +280,7 @@ def conv2d(x, w, stride=1, pad=0, rest=(), norm=None):
         parallel.run(differentiate, groups)
         return (*grads, dgamma, dbeta)
 
-    params = () if norm is None else (gamma, beta)
+    params = () if norm is None else norm[:2]
     return _emit((*inputs, w, *params), out, backward_fn, "conv2d")
 
 
@@ -304,56 +302,63 @@ def _plane_sums(a, b=None, dtype=None):
     return np.ascontiguousarray(p.T).sum(axis=1)
 
 
-def _statistics(parts, c, dtype, running_mean, running_var, mode):
-    """Batchnorm's per-channel mean and variance, in dtype, of the channel
-    concatenation of ``parts``: (NCHW array, first channel) pairs that
-    together hold c channels.
+def _statistics(parts, gamma, dtype, running_mean, running_var, mode):
+    """Batchnorm's per-channel mu, ``inv = 1 / sqrt(var + BN_EPS)`` and ``a =
+    gamma * inv``, in dtype, of the channel concatenation of ``parts``: (NCHW
+    array, first channel) pairs that together hold gamma's channels.
 
-    Train mode takes them from the batch, the variance from the values
-    centred per group of channels into a scratch of one group, and moves the
-    caller's per-channel arrays running_mean and running_var toward them in
-    place, by ``BN_MOMENTUM``.  Eval mode returns a copy of running_mean (a
-    later train-mode call updates it in place before this call's backward
-    runs) and running_var.
+    Train mode takes mu and var from the batch, var from the values centred
+    per group of channels into a scratch of one group, and moves the caller's
+    per-channel arrays running_mean and running_var toward them in place, by
+    ``BN_MOMENTUM``; a batch with no values raises ``ShapeError`` before
+    either moves.  Eval mode takes a copy of running_mean (a later train-mode
+    call updates it in place before this call's backward runs) and
+    running_var.
     """
     if mode == "eval":
-        return running_mean.copy(), running_var
-    n, _, h, w = parts[0][0].shape
-    m = n * h * w
-    jobs = [(arr, lo, s) for arr, lo in parts
-            for s in parallel.spans(arr.shape[1], arr[:, :1].nbytes)]
-    widest = max(s.stop - s.start for _, _, s in jobs)
-    scratch = np.empty((parallel.width(jobs), n, widest, h, w), dtype=dtype)
-    mu, var = np.empty(c, dtype=dtype), np.empty(c, dtype=dtype)
+        mu, var = running_mean.copy(), running_var
+    else:
+        n, _, h, w = parts[0][0].shape
+        m = n * h * w
+        if not m:
+            raise ShapeError(f"batchnorm: train-mode statistics need at least one value per "
+                             f"channel, got inputs {' + '.join(str(x.shape) for x, _ in parts)}")
+        jobs = [(arr, lo, s) for arr, lo in parts
+                for s in parallel.spans(arr.shape[1], arr[:, :1].nbytes)]
+        widest = max(s.stop - s.start for _, _, s in jobs)
+        scratch = np.empty((parallel.width(jobs), n, widest, h, w), dtype=dtype)
+        mu, var = np.empty(gamma.size, dtype=dtype), np.empty(gamma.size, dtype=dtype)
 
-    def statistics(job, slot):   # the mean, then the variance of the centred values
-        arr, lo, s = job
-        xs, ch = arr[:, s], slice(lo + s.start, lo + s.stop)
-        mu[ch] = _plane_sums(xs) / m
-        centred = np.subtract(xs, mu[ch].reshape(-1, 1, 1),
-                              out=scratch[slot, :, :s.stop - s.start])
-        var[ch] = _plane_sums(centred, centred) / m
+        def statistics(job, slot):   # the mean, then the variance of the centred values
+            arr, lo, s = job
+            xs, ch = arr[:, s], slice(lo + s.start, lo + s.stop)
+            mu[ch] = _plane_sums(xs) / m
+            centred = np.subtract(xs, mu[ch].reshape(-1, 1, 1),
+                                  out=scratch[slot, :, :s.stop - s.start])
+            var[ch] = _plane_sums(centred, centred) / m
 
-    parallel.run(statistics, jobs)
-    running_mean += BN_MOMENTUM * (mu - running_mean)
-    running_var += BN_MOMENTUM * (var - running_var)
-    return mu, var
+        parallel.run(statistics, jobs)
+        running_mean += BN_MOMENTUM * (mu - running_mean)
+        running_var += BN_MOMENTUM * (var - running_var)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    return mu, inv, gamma * inv
 
 
-def _coefficients(parts, c, mu, inv, a, m, train, dtype):
+def _coefficients(parts, mu, inv, a, train, dtype):
     """Batchnorm's per-channel backward numbers from the output gradient g
-    over (g, x, first channel) triples of NCHW arrays that together hold c
+    over (g, x, first channel) triples of NCHW arrays that together hold mu's
     channels: dgamma = sum g*xhat and dbeta = sum g, then the (C, 1, 1) r and
     q of the train-mode input gradient ``a * (g + r*x) + q`` (None in eval
     mode, where the statistics do not depend on x and the gradient is
-    ``a * g``), all in dtype.  m is the count each channel's statistics are
-    taken over.
+    ``a * g``), all in dtype.  mu, inv and a are ``_statistics``' numbers.
 
     The sums of g and of g*x are taken in float64, each group of channels one
     chunk.  They give ``sum g*xhat = inv * (sum g*x - mu * sum g)`` (Ioffe &
     Szegedy, arXiv:1502.03167), whose difference cancels when |mu| >> sigma.
     """
-    gsum, gxsum = np.empty(c), np.empty(c)
+    n, _, h, w = parts[0][1].shape
+    m = n * h * w   # the count each channel's statistics are taken over
+    gsum, gxsum = np.empty(mu.size), np.empty(mu.size)
     jobs = [(g, x, lo, s) for g, x, lo in parts
             for s in parallel.spans(x.shape[1], x[:, :1].nbytes)]
 
@@ -423,14 +428,12 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, mode):
             f"batchnorm2d channel mismatch: input has {c} channels, "
             f"gamma has {gamma.size}, beta has {beta.size}")
     xd = x.data
-    mu, var = _statistics([(xd, 0)], c, xd.dtype, running_mean, running_var, mode)
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    a = gamma.data * inv
+    mu, inv, a = _statistics([(xd, 0)], gamma.data, xd.dtype, running_mean, running_var, mode)
     out = _normalize(xd, slice(None), mu, a, beta.data)
 
     def backward_fn(gout):
-        dgamma, dbeta, r, q = _coefficients([(gout, xd, 0)], c, mu, inv, a, xd.size // c,
-                                            mode == "train", xd.dtype)
+        dgamma, dbeta, r, q = _coefficients([(gout, xd, 0)], mu, inv, a, mode == "train",
+                                            xd.dtype)
         gx = np.empty_like(xd)
         _input_gradient(xd, gout, slice(None), a.reshape(-1, 1, 1), r, q, gx, gx)
         return gx, dgamma, dbeta

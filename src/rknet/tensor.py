@@ -89,10 +89,6 @@ class Parameter:
     def shape(self):
         return self.value.shape
 
-    @property
-    def dtype(self):
-        return self.value.dtype
-
     def zero_grad(self):
         self.grad.data[...] = 0
 

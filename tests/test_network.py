@@ -80,6 +80,16 @@ class TestForward:
         with pytest.raises(ShapeError, match="input_shape"):
             network.forward(model, batch(np.random.default_rng(2), shape=(3, 8, 8)))
 
+    def test_an_empty_batch_gives_no_logits_in_eval_and_a_shape_error_in_train(self):
+        model = build()
+        empty = np.zeros((0, 3, 16, 16), np.float32)
+        logits, _ = network.forward(model, empty, mode="eval")
+        assert logits.shape == (0, 4)
+        before = {name: buf.copy() for name, buf in model.store.buffers.items()}
+        with pytest.raises(ShapeError, match="at least one value per channel"):
+            network.forward(model, empty, mode="train", rng=make_rng(0, "dropout"))
+        assert all(np.array_equal(buf, before[name]) for name, buf in model.store.buffers.items())
+
     @pytest.mark.parametrize("param,label", [
         ("period0.step0.stage1.growth0.conv.w", "period0/step0/stage1:conv2d"),
         ("period1.step1.growth1.conv.w", "period1/step1/growth1:conv2d"),

@@ -467,6 +467,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(27)
         x = (rng.normal(size=(8, 5, 6, 6)) * 2 + 1).astype(dtype)
         g = rng.normal(size=x.shape).astype(dtype)
+        gamma = (rng.normal(size=5) + 1).astype(dtype)
         cuts = {"whole": [(0, 5)], "groups": [(0, 2), (2, 5)],
                 "alone": [(j, j + 1) for j in range(5)]}
         results = {}
@@ -474,13 +475,23 @@ class TestBatchNorm:
             xs = [np.ascontiguousarray(x[:, lo:hi]) for lo, hi in bounds]
             gs = [np.ascontiguousarray(g[:, lo:hi]) for lo, hi in bounds]
             firsts = [lo for lo, _ in bounds]
-            mu, var = ops._statistics(list(zip(xs, firsts)), 5, x.dtype, np.zeros(5, dtype),
+            numbers = ops._statistics(list(zip(xs, firsts)), gamma, x.dtype, np.zeros(5, dtype),
                                       np.ones(5, dtype), "train")
-            inv = 1.0 / np.sqrt(var + ops.BN_EPS)
-            sums = ops._coefficients(list(zip(gs, xs, firsts)), 5, mu, inv, inv, 8 * 36, True,
-                                     x.dtype)
-            results[name] = [a.tobytes() for a in (mu, var, *sums)]
+            sums = ops._coefficients(list(zip(gs, xs, firsts)), *numbers, True, x.dtype)
+            results[name] = [a.tobytes() for a in (*numbers, *sums)]
         assert results["groups"] == results["whole"] and results["alone"] == results["whole"]
+
+    @pytest.mark.parametrize("op", ["batchnorm2d", "conv2d"])
+    def test_an_empty_train_batch_is_rejected_before_the_running_buffers_move(self, op):
+        gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
+        stats = (np.full(3, 0.5), np.full(3, 2.0))
+        x = _zeros(0, 3, 4, 4)
+        calls = {"batchnorm2d": lambda: ops.batchnorm2d(x, gamma, beta, *stats, "train"),
+                 "conv2d": lambda: ops.conv2d(x, _zeros(2, 3, 3, 3), pad=1,
+                                              norm=(gamma, beta, *stats, "train"))}
+        with pytest.raises(ShapeError, match=r"at least one value per channel.*\(0, 3, 4, 4\)"):
+            calls[op]()
+        assert stats[0].tolist() == [0.5] * 3 and stats[1].tolist() == [2.0] * 3
 
     def test_eval_backward_ignores_a_later_train_update(self):
         rng = np.random.default_rng(23)

@@ -116,6 +116,16 @@ class TestRkStep:
         with pytest.raises(rk.StageSolveError, match="did not converge"):
             rk.rk_step(tab, lambda t, y: -1e6 * y, 0.0, np.array([1.0]), 0.1)
 
+    def test_implicit_solver_stops_at_the_iteration_cap(self):
+        # on y' = -y the midpoint stage map z -> -(y + h/2 z) contracts by
+        # h/2 = 0.95 per sweep, so from z0 = -1 the stage moves by 0.95**k in
+        # sweep k: finite, but still far above STAGE_TOL at the cap
+        tab = rk.tableau_library("implicit_midpoint")
+        with pytest.raises(rk.StageSolveError, match="did not converge") as exc:
+            rk.rk_step(tab, lambda t, y: -y, 0.0, np.array([1.0]), 1.9)
+        assert exc.value.iterations == rk.STAGE_MAX_ITER
+        assert exc.value.residual == pytest.approx(0.95 ** rk.STAGE_MAX_ITER, rel=1e-9)
+
     @pytest.mark.parametrize("name", rk.tableau_names())
     def test_step_linear_in_state_for_linear_f(self, name):
         tab = rk.tableau_library(name)

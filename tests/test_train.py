@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rknet import model_spec as ms
-from rknet import network, ops, parallel
+from rknet import network, ops, parallel, tensor
 from rknet import train as T
 from rknet.data import gen_synthetic_shapes, DatasetHandle
 from rknet.rng import make_rng
@@ -199,6 +199,24 @@ class TestTrainEpochs:
         cfg = T.TrainConfig(epochs=1, batch_size=16, seed=0)
         with pytest.raises(T.TrainingDivergedError, match="postprocessor.*fully_connected"):
             T.train_epochs(model, tiny_data(), tiny_data(4, split="test"), cfg)
+
+    def test_a_nan_loss_the_debug_replay_does_not_reproduce_is_reported_so(self, monkeypatch):
+        # the step's loss is NaN once; the replay, in debug mode, finds every
+        # tensor finite and says so, and leaves debug mode off
+        real = ops.softmax_cross_entropy
+        debug = []
+
+        def nan_once(logits, labels):
+            loss = real(logits, labels)
+            debug.append(tensor._DEBUG_FINITE)
+            return Tensor(np.full((), np.nan, loss.data.dtype)) if len(debug) == 1 else loss
+
+        monkeypatch.setattr(ops, "softmax_cross_entropy", nan_once)
+        cfg = T.TrainConfig(epochs=1, batch_size=16, seed=0)
+        with pytest.raises(T.TrainingDivergedError,
+                           match=r"at epoch 0, batch 0 \(not reproducible in replay\)$"):
+            T.train_epochs(tiny_model(seed=2), tiny_data(), tiny_data(4, split="test"), cfg)
+        assert debug == [False, True] and not tensor._DEBUG_FINITE
 
     def test_gradients_left_in_the_model_do_not_reach_the_first_step(self, tmp_path):
         # an eval-mode backward leaves gradients but no running-statistics update,

@@ -96,8 +96,9 @@ MUTANTS = [
            # killed by its conv2d-norm-splits-an-input case
            ("tests/test_ops.py::test_op_guard_rejects_bad_input_with_its_message",)),
     Mutant("fused-running-stats-frozen", OPS,
-           "cn, dtype, running_mean, running_var, mode)",
-           "cn, dtype, running_mean.copy(), running_var.copy(), mode)",
+           "bounds)),\n                                 gamma, dtype, running_mean, running_var,",
+           "bounds)),\n                                 gamma, dtype, running_mean.copy(), "
+           "running_var.copy(),",
            FUSED_TESTS[:1]),
     # pointwise backward
     Mutant("relu-mask-includes-zero", OPS,
@@ -123,6 +124,11 @@ MUTANTS = [
            "running_mean.copy(), running_var",
            "running_mean, running_var",
            ("tests/test_ops.py::TestBatchNorm::test_eval_backward_ignores_a_later_train_update",)),
+    Mutant("batchnorm-empty-batch-unguarded", OPS,
+           "if not m:",
+           "if False:",
+           ("tests/test_ops.py::TestBatchNorm::"
+            "test_an_empty_train_batch_is_rejected_before_the_running_buffers_move",)),
     Mutant("batchnorm-running-mean-sign", OPS,
            "running_mean += BN_MOMENTUM * (mu - running_mean)",
            "running_mean += BN_MOMENTUM * (mu + running_mean)",
@@ -229,6 +235,16 @@ MUTANTS = [
            '"train_loss": total_loss * len(perm)',
            ("tests/test_train.py::TestReportedMetrics::"
             "test_train_row_equals_the_one_batch_train_forward",)),
+    Mutant("replay-leaves-debug-on", TRAIN,
+           "    finally:\n        set_debug(False)\n",
+           "",
+           ("tests/test_train.py::TestTrainEpochs::"
+            "test_a_nan_loss_the_debug_replay_does_not_reproduce_is_reported_so",)),
+    # the implicit stage solver
+    Mutant("implicit-solver-returns-unconverged-stages", "src/rknet/rk.py",
+           "    raise StageSolveError(STAGE_MAX_ITER, delta)",
+           "    return z",
+           ("tests/test_rk.py::TestRkStep::test_implicit_solver_stops_at_the_iteration_cap",)),
     # the chunk pool
     Mutant("pool-worker-keeps-last-job", "src/rknet/parallel.py",
            "left, job = job.left, None",
